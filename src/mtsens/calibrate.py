@@ -6,8 +6,9 @@ import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ._linalg import as_vector
+from ._linalg import RANK_RTOL, as_vector
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
@@ -133,12 +134,34 @@ def implicit_r2(
 def benchmark_table(
     treatments: TreatmentMatrix, y, names: Sequence[str] | None = None
 ) -> list[tuple[str, float]]:
-    """Per-column benchmark: partial R2 of each treatment given the rest.
-    Feeds the calibrate CLI's TSV output."""
+    """Per-column benchmark: partial R2 of each treatment given the rest,
+    from one QR of X = [1, T]. Dropping column j raises the full RSS by
+    beta_j^2 / V_jj, V = (X'X)^{-1} = R^{-1} R^{-T}, so partial R2 is
+    (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) = t_j^2 / (t_j^2 + df)
+    (Cinelli & Hazlett 2020). A rank-deficient X (some |R_jj| <= RANK_RTOL
+    max |R_ii|) goes through partial_r2_treatment column by column. Feeds
+    the calibrate CLI's TSV output."""
     names = list(names) if names is not None else treatments.names()
     if len(names) != treatments.k:
         raise DimensionError("names length must match the number of columns")
-    return [
-        (names[j], partial_r2_treatment(treatments, y, j))
-        for j in range(treatments.k)
-    ]
+    y = as_vector(y, "y")
+    if y.shape[0] != treatments.n:
+        raise DimensionError("y length must match the number of rows")
+    design = np.column_stack([np.ones(treatments.n), treatments.data])
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diag(r))
+    if r.shape[0] < r.shape[1] or diag.min() <= RANK_RTOL * diag.max():
+        return [(nm, partial_r2_treatment(treatments, y, j)) for j, nm in enumerate(names)]
+    qty = q.T @ y
+    rss = float(np.sum((y - q @ qty) ** 2))
+    tss = float(np.sum((y - y.mean()) ** 2))
+    if tss == 0.0:
+        raise CalibrationError("outcome has zero variance")
+    r_inv = solve_triangular(r, np.eye(r.shape[0]))[1:]
+    drop = (r_inv @ qty) ** 2 / np.sum(r_inv**2, axis=1)
+    if np.any(rss + drop < 1e-12 * tss):
+        raise CalibrationError(
+            "restricted fit already explains the outcome exactly; partial R2 "
+            "is undefined"
+        )
+    return list(zip(names, (drop / (drop + rss)).tolist()))

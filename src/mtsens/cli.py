@@ -364,11 +364,8 @@ def cmd_mcc(args, prov: dict) -> int:
         [(r.contrast_id, r.naive, r.adjusted, r.shrinkage_ratio) for r in rows],
         prov,
     )
-    naive_norm = {
-        "l1": float(np.abs(bank.naive).sum()),
-        "l2": float(np.linalg.norm(bank.naive)),
-        "linf": float(np.abs(bank.naive).max()),
-    }[result.norm]
+    order = {"l1": 1, "l2": None, "linf": np.inf}[result.norm]
+    naive_norm = float(np.linalg.norm(bank.naive, order))
     summary = {
         "norm": result.norm,
         "r2_cap": result.r2_cap,
@@ -377,6 +374,7 @@ def cmd_mcc(args, prov: dict) -> int:
         "achieved_r2": result.achieved_r2,
         "lambda_star": result.lambda_star,
         "n_iter": result.n_iter,
+        "duality_gap": result.duality_gap,
         "gamma_star": result.gamma_star,
     }
     _write_json(json_path, summary, prov)
@@ -638,11 +636,6 @@ def _error_payload(exc: BaseException) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    threads = os.environ.get("MTSENS_THREADS")
-    if threads:
-        # best-effort hint for lazily created BLAS pools
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     args = parser.parse_args(argv)
     prov = {

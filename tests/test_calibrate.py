@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtsens import (
     BinaryOutcome,
@@ -165,3 +167,40 @@ def test_benchmark_table_name_length_mismatch():
     tm = TreatmentMatrix(np.zeros((10, 2)) + np.arange(10)[:, None])
     with pytest.raises(DimensionError):
         benchmark_table(tm, np.arange(10.0), names=["only-one"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=200),
+    k=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_benchmark_table_matches_per_column_refits(n, k, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k)
+    data[:, 0] += rng.uniform(-5.0, 5.0) * data[:, -1]
+    y = data @ rng.normal(size=k) + rng.uniform(0.1, 3.0) * rng.normal(size=n)
+    tm = TreatmentMatrix(data)
+    table = [v for _, v in benchmark_table(tm, y)]
+    per_column = [partial_r2_treatment(tm, y, j) for j in range(k)]
+    assert np.allclose(table, per_column, rtol=0.0, atol=1e-10)
+
+
+def test_benchmark_table_rank_deficient_matches_per_column():
+    rng = np.random.default_rng(29)
+    base = rng.normal(size=(80, 3))
+    data = np.column_stack([base, base[:, 1]])
+    y = base @ np.array([1.0, -0.5, 0.3]) + rng.normal(size=80)
+    tm = TreatmentMatrix(data)
+    table = [v for _, v in benchmark_table(tm, y)]
+    assert table == [partial_r2_treatment(tm, y, j) for j in range(4)]
+
+
+def test_benchmark_table_exact_restricted_fit_raises():
+    rng = np.random.default_rng(31)
+    data = rng.normal(size=(50, 3))
+    tm = TreatmentMatrix(data)
+    with pytest.raises(CalibrationError):
+        benchmark_table(tm, data[:, 0].copy())
+    with pytest.raises(CalibrationError):
+        benchmark_table(tm, np.full(50, 2.0))

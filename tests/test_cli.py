@@ -3,12 +3,15 @@ main() so exit codes and stdout/stderr are observable without subprocesses.
 One subprocess test confirms the installed console script."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtsens
 from mtsens.cli import main
 from mtsens.errors import ConvergenceError
 
@@ -260,6 +263,7 @@ def test_mcc_command(linear_models, tmp_path, capsys):
     assert summary["achieved_r2"] <= 0.1 + 1e-8
     assert summary["achieved_norm"] <= summary["naive_norm"] + 1e-12
     assert len(summary["gamma_star"]) == 1
+    assert "duality_gap" in summary
     lines = [
         l
         for l in (out_dir / "mcc_report.tsv").read_text().splitlines()
@@ -437,10 +441,14 @@ def test_unknown_preset_argparse_exit_2(capsys):
 
 
 def test_console_script_version():
+    # the child imports the same mtsens as this process, installed or not
+    package_root = str(Path(mtsens.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mtsens.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "mtsens" in proc.stdout

@@ -6,6 +6,7 @@ import pytest
 from mtsens import (
     CalibrationError,
     ConditionalConfounder,
+    ConvergenceError,
     ContrastBank,
     Contrast,
     DegenerateModelError,
@@ -185,7 +186,7 @@ def test_achieved_norm_monotone_in_cap():
             mcc_minimize(bank, norm=norm, r2_cap=cap).achieved_norm
             for cap in (0.0, 0.1, 0.3, 0.6, 1.0)
         ]
-        # the subgradient solves carry ~1e-5 objective noise each
+        # each L1/Linf value is certified to a 1e-9 relative duality gap
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-4
 
@@ -283,3 +284,48 @@ def test_mcc_minimize_validation():
     )
     with pytest.raises(DegenerateModelError):
         mcc_minimize(singular, norm="l2", r2_cap=0.5)
+
+
+def _grid_values(naive, g, z, norm):
+    resid = np.abs(naive[:, None] - g @ z)
+    return resid.sum(axis=0) if norm == "l1" else resid.max(axis=0)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("seed", [29, 37])
+def test_polar_grid_oracle_m2(norm, seed):
+    # a 400 x 400 polar grid over the whitened ball brackets the minimum:
+    # no grid value beats it, and none is further above it than the
+    # objective's Lipschitz constant times the grid's covering radius; a
+    # 401 x 401 grid around the best grid point, projected onto the ball,
+    # then tightens the upper side
+    bank = _random_bank(seed, n_contrasts=6, m=2)
+    cap = 0.3
+    res = mcc_minimize(bank, norm=norm, r2_cap=cap)
+    g = bank.sigma_y_given_t * (bank.deltas @ _inv_sqrt(bank.sigma_u_given_t))
+    radius = math.sqrt(cap)
+    rho = np.linspace(0.0, radius, 400)
+    theta = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    z = np.stack([np.outer(rho, np.cos(theta)).ravel(), np.outer(rho, np.sin(theta)).ravel()])
+    vals = _grid_values(bank.naive, g, z, norm)
+    rows = np.linalg.norm(g, axis=1)
+    lipschitz = rows.sum() if norm == "l1" else rows.max()
+    cover = math.hypot(0.5 * radius / 399, radius * math.pi / 400)
+    oracle = float(vals.min())
+    offsets = np.linspace(-2.0 * cover, 2.0 * cover, 401)
+    local = z[:, [int(vals.argmin())]] + np.stack(
+        [np.repeat(offsets, 401), np.tile(offsets, 401)]
+    )
+    local *= np.minimum(1.0, radius / np.linalg.norm(local, axis=0))
+    local_oracle = min(oracle, float(_grid_values(bank.naive, g, local, norm).min()))
+    tol = 1e-9 * max(1.0, res.achieved_norm)
+    assert oracle - lipschitz * cover <= res.achieved_norm <= local_oracle + tol
+    assert 0.0 <= res.duality_gap <= tol
+    assert res.achieved_r2 <= cap + 1e-8
+
+
+def test_primal_dual_iteration_limit_raises():
+    bank = _random_bank(41, n_contrasts=8, m=2)
+    with pytest.raises(ConvergenceError) as info:
+        mcc_minimize(bank, norm="l1", r2_cap=0.3, max_iter=5)
+    assert info.value.last_iterate.shape == (2,)
