@@ -1,18 +1,18 @@
 """Small linear-algebra helpers used across modules.
 
-All symmetric-matrix roots go through eigendecompositions so that the
-rank handling is explicit and identical everywhere.
+Every square root, inverse root and rank of a symmetric PSD matrix comes
+from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
+RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
 
-# Eigenvalues below this floor are clamped before inversion in the
-# full-rank code paths.
-EIG_FLOOR = 1e-12
-# Relative cutoff that defines numerical rank for pseudo-inverse paths.
+# Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
 
 
@@ -43,50 +43,36 @@ def eigh_desc(a: np.ndarray):
     return lam[::-1], vec[:, ::-1]
 
 
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(symmetrize(a))
-    lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.T
+class PsdRoots(NamedTuple):
+    """Square roots of a symmetric PSD matrix from one eigendecomposition.
 
-
-def sym_inv_sqrt(a: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Inverse square root with eigenvalues clamped at `floor`."""
-    lam, vec = np.linalg.eigh(symmetrize(a))
-    lam = np.clip(lam, floor, None)
-    return (vec / np.sqrt(lam)) @ vec.T
-
-
-def sym_pinv_sqrt(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Pseudo-inverse square root: eigenvalues below rtol*max are dropped."""
-    lam, vec = np.linalg.eigh(symmetrize(a))
-    lmax = float(lam.max()) if lam.size else 0.0
-    cut = rtol * max(lmax, 0.0)
-    inv = np.where(lam > cut, 1.0 / np.sqrt(np.clip(lam, cut if cut > 0 else 1.0, None)), 0.0)
-    if cut == 0.0:
-        inv = np.zeros_like(lam)
-    return (vec * inv) @ vec.T
-
-
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    lam = np.linalg.eigvalsh(symmetrize(a))
-    lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lmax == 0.0:
-        return 0
-    return int(np.sum(lam > rtol * lmax))
-
-
-def row_space_split(a: np.ndarray, x: np.ndarray, rtol: float = RANK_RTOL):
-    """Split x into its components inside and outside the row space of a.
-
-    a is symmetric PSD; the row space is the span of eigenvectors whose
-    eigenvalue exceeds rtol * lambda_max.
+    rank counts the eigenvalues above RANK_RTOL * lambda_max; their
+    eigenvectors span the row space.  root is the PSD square root (negative
+    rounding-level eigenvalues clamped to 0), inv_root the pseudo-inverse
+    square root (zero on the complement of the row space), and null an
+    orthonormal basis of that complement, shaped m x (m - rank).
     """
+
+    eigvals: np.ndarray
+    rank: int
+    root: np.ndarray
+    inv_root: np.ndarray
+    null: np.ndarray
+
+
+def psd_roots(a: np.ndarray) -> PsdRoots:
     lam, vec = np.linalg.eigh(symmetrize(a))
     lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    keep = lam > rtol * lmax if lmax > 0 else np.zeros_like(lam, dtype=bool)
-    basis = vec[:, keep]
-    inside = basis @ (basis.T @ x)
-    return inside, x - inside
+    keep = lam > RANK_RTOL * lmax
+    inv = np.zeros_like(lam)
+    inv[keep] = 1.0 / np.sqrt(lam[keep])
+    return PsdRoots(
+        eigvals=lam,
+        rank=int(np.count_nonzero(keep)),
+        root=(vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T,
+        inv_root=(vec * inv) @ vec.T,
+        null=vec[:, ~keep],
+    )
 
 
 def orthonormal_null_basis(b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import orthonormal_null_basis, row_space_split
+from ._linalg import orthonormal_null_basis
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DegenerateModelError
 from .factor import ConditionalConfounder, Contrast, FactorModel, mu_delta
@@ -101,15 +101,14 @@ def bias_closed_form(
 
 
 def _whitened_mu_delta(cc: ConditionalConfounder, c: Contrast):
-    """Sigma^{-1/2} mu_{u|delta t}, or None when the difference leaves the
-    row space of a singular Sigma (the unbounded case)."""
+    """Sigma^{-1/2} mu_{u|delta t} from the confounder's cached roots (the
+    pseudo-inverse root when Sigma is singular), or None when the mean
+    difference leaves the row space of Sigma (the unbounded case)."""
     mu = mu_delta(cc, c)
-    if cc.full_rank():
-        return cc.sigma_inv_sqrt() @ mu
-    inside, outside = row_space_split(cc.sigma_u_given_t, mu)
+    outside = cc.roots.null.T @ mu
     if np.linalg.norm(outside) > OUT_OF_ROW_SPACE_RTOL * max(np.linalg.norm(mu), 1e-300):
         return None
-    return cc.sigma_pinv_sqrt() @ inside
+    return cc.roots.inv_root @ mu
 
 
 def worst_case_bias(
@@ -120,9 +119,12 @@ def worst_case_bias(
 ) -> float:
     """Largest |bias| over all gamma with gamma' Sigma gamma <= r2.
 
-    sigma_{y|t} * sqrt(r2) * ||Sigma^{-1/2} mu_{u|delta t}||, with the
-    pseudo-inverse when Sigma is singular but the mean difference stays in
-    its row space; math.inf when it does not.
+    sigma_{y|t} * sqrt(r2) * ||Sigma^{-1/2} mu_{u|delta t}||, read from the
+    factorization cached on cc: the pseudo-inverse root when Sigma is
+    singular but the mean difference stays in its row space, math.inf when
+    it does not. Singular means rank below m under the one rank rule of
+    psd_roots, the same verdict mcc_minimize and intervention_mean_general
+    reach.
     """
     r2 = _check_r2(r2)
     w = _whitened_mu_delta(cc, c)
@@ -197,13 +199,8 @@ def contrast_bound_sweep(
             argmax = -argmax
     else:
         argmax = np.zeros(fm.k)
-    null_basis = _null_space_of_loadings(b)
+    null_basis = orthonormal_null_basis(b)
     return ContrastBoundSweep(max_bias=max_bias, argmax_delta=argmax, null_space_basis=null_basis)
-
-
-def _null_space_of_loadings(b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {delta : B' delta = 0}, shaped k x (k - rank B)."""
-    return orthonormal_null_basis(b)
 
 
 def robustness_value(

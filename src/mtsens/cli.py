@@ -271,29 +271,29 @@ def cmd_fit(args, prov: dict) -> int:
     return 0
 
 
-def _region_record(contrast_id, naive, cc, sigma, r2, c):
-    region = ignorance_region(naive, cc, sigma, r2, c)
-    rv = robustness_value(naive, cc, sigma, c)
-    return {
-        "contrast_id": contrast_id,
-        "naive": naive,
-        "lower": region.lower,
-        "upper": region.upper,
-        "r2_cap": region.r2_cap,
-        "rv": rv.value,
-        "bounded": region.bounded,
-    }
-
-
 def cmd_bounds(args, prov: dict) -> int:
     cc, outcome = _load_models(args.models)
     _require_continuous(outcome)
     sigma = outcome.sigma()
+    contrasts = _parse_contrasts(args, cc.k)
+    r2_grid = _parse_r2_list(args.r2)
     records = []
-    for contrast_id, c in _parse_contrasts(args, cc.k):
+    for contrast_id, c in contrasts:
         naive = _naive_contrast(outcome, c)
-        for r2 in _parse_r2_list(args.r2):
-            records.append(_region_record(contrast_id, naive, cc, sigma, r2, c))
+        rv = robustness_value(naive, cc, sigma, c)
+        for r2 in r2_grid:
+            region = ignorance_region(naive, cc, sigma, r2, c)
+            records.append(
+                {
+                    "contrast_id": contrast_id,
+                    "naive": naive,
+                    "lower": region.lower,
+                    "upper": region.upper,
+                    "r2_cap": region.r2_cap,
+                    "rv": rv.value,
+                    "bounded": region.bounded,
+                }
+            )
     _write_json(args.out, {"results": records}, prov)
     return 0
 

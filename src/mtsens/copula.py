@@ -17,13 +17,22 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.stats import norm
 
-from ._linalg import as_vector, sym_inv_sqrt, sym_sqrt
+from ._linalg import as_vector, psd_roots
 from .errors import CalibrationError, DimensionError, InvalidCopulaError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
+
+
+def _check_unit(direction: np.ndarray) -> None:
+    nrm = float(np.linalg.norm(direction))
+    if abs(nrm - 1.0) > 1e-10:
+        raise CalibrationError(
+            f"direction must be a unit vector (norm {nrm:.12g}); "
+            "normalize it explicitly before calling"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class SensitivitySpec:
         r2 = min(r2, 1.0)
         if r2 <= 0.0:
             return cls(gamma=gamma, r2=0.0, direction=np.zeros_like(gamma))
-        direction = sym_sqrt(sigma) @ gamma / np.sqrt(r2)
+        direction = psd_roots(sigma).root @ gamma / np.sqrt(r2)
         return cls(gamma=gamma, r2=r2, direction=direction)
 
     @classmethod
@@ -69,15 +78,10 @@ class SensitivitySpec:
         if not (0.0 <= r2 <= 1.0 + R2_SLACK):
             raise CalibrationError(f"r2 = {r2:.6g} outside [0, 1]")
         r2 = min(float(r2), 1.0)
-        nrm = float(np.linalg.norm(direction))
         if r2 == 0.0:
             return cls(gamma=np.zeros_like(direction), r2=0.0, direction=direction * 0.0)
-        if abs(nrm - 1.0) > 1e-10:
-            raise CalibrationError(
-                f"direction must be a unit vector (norm {nrm:.12g}); "
-                "normalize it explicitly before calling"
-            )
-        gamma = np.sqrt(r2) * (sym_inv_sqrt(np.asarray(sigma_u_given_t, dtype=float)) @ direction)
+        _check_unit(direction)
+        gamma = np.sqrt(r2) * (psd_roots(sigma_u_given_t).inv_root @ direction)
         return cls(gamma=gamma, r2=r2, direction=direction)
 
     def transformed(self, a: np.ndarray) -> "SensitivitySpec":
@@ -330,14 +334,13 @@ def intervention_mean_general(
     _, quantile = conditional_cdf_quantile(outcome, t)
     y = quantile(p)
 
-    sigma = cc.sigma_u_given_t
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
+    if not cc.full_rank():
         raise InvalidCopulaError(
             "sigma_u_given_t is singular; the general estimator needs a "
             "proper confounder density"
         )
-    root = sym_sqrt(sigma)
+    sigma = cc.sigma_u_given_t
+    root = cc.roots.root
     mu_rows = cc.mu_u_given_t(rows)  # n x m
     zu = rng.standard_normal(size=(n, n_draws, m))
     u = mu_rows[:, None, :] + zu @ root.T

@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (
-    as_vector,
-    eigh_desc,
-    fix_column_signs,
-    numerical_rank,
-    sym_inv_sqrt,
-    sym_pinv_sqrt,
-    symmetrize,
-)
+from ._linalg import PsdRoots, as_vector, eigh_desc, fix_column_signs, psd_roots, symmetrize
 from .errors import DegenerateModelError, DimensionError, InputFormatError
 
 
@@ -114,12 +106,17 @@ class ConditionalConfounder:
     coef is the m x k linear map; sigma_u_given_t does not depend on t.
     treatment_means default to zero (e.g. for externally estimated posteriors
     already expressed on centered treatments).
+
+    sigma_u_given_t is factorized once, on construction: roots holds its
+    eigenvalues, root, pseudo-inverse root and null-space basis (see
+    psd_roots), and every downstream computation reads them from there.
+    rank is the numerical rank of that factorization.
     """
 
     coef: np.ndarray
     sigma_u_given_t: np.ndarray
-    rank: int = None
     treatment_means: np.ndarray = None
+    roots: PsdRoots = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float)
@@ -135,21 +132,18 @@ class ConditionalConfounder:
         if scale > 0 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
             raise ValueError("sigma_u_given_t is not symmetric within tolerance")
         sigma = symmetrize(sigma)
-        eigs = np.linalg.eigvalsh(sigma)
-        if eigs.min() < -1e-12 * max(scale, 1.0):
+        roots = psd_roots(sigma)
+        if roots.eigvals.min() < -1e-12 * max(scale, 1.0):
             raise ValueError(
-                f"sigma_u_given_t has negative eigenvalue {eigs.min():.3e}"
+                f"sigma_u_given_t has negative eigenvalue {roots.eigvals.min():.3e}"
             )
-        rank = self.rank
-        if rank is None:
-            rank = numerical_rank(sigma)
         means = self.treatment_means
         means = np.zeros(k) if means is None else as_vector(means, "treatment_means")
         if means.shape[0] != k:
             raise DimensionError("treatment_means length must equal k")
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "sigma_u_given_t", sigma)
-        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "treatment_means", means)
 
     @property
@@ -160,6 +154,10 @@ class ConditionalConfounder:
     def k(self) -> int:
         return self.coef.shape[1]
 
+    @property
+    def rank(self) -> int:
+        return self.roots.rank
+
     def full_rank(self) -> bool:
         return self.rank == self.m
 
@@ -169,10 +167,8 @@ class ConditionalConfounder:
         return (t - self.treatment_means) @ self.coef.T
 
     def sigma_inv_sqrt(self) -> np.ndarray:
-        return sym_inv_sqrt(self.sigma_u_given_t)
-
-    def sigma_pinv_sqrt(self) -> np.ndarray:
-        return sym_pinv_sqrt(self.sigma_u_given_t)
+        """Sigma^{-1/2}, the pseudo-inverse root when Sigma is singular."""
+        return self.roots.inv_root
 
     def reparameterized(self, a: np.ndarray) -> "ConditionalConfounder":
         """Equivalent representation (A coef, A Sigma A^T) for invertible A."""
@@ -355,6 +351,14 @@ def _write_json(payload: dict, path, provenance: dict | None) -> None:
         fh.write("\n")
 
 
+def _read_json(path, what: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def save_confounder(cc: ConditionalConfounder, path, provenance: dict | None = None) -> None:
     payload = {
         "m": cc.m,
@@ -368,11 +372,7 @@ def save_confounder(cc: ConditionalConfounder, path, provenance: dict | None = N
 
 def load_confounder(path) -> ConditionalConfounder:
     """Read a confounder JSON file, symmetrizing and validating the covariance."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read confounder file {path}: {exc}") from exc
+    payload = _read_json(path, "confounder")
     try:
         m = int(payload["m"])
         k = int(payload["k"])
@@ -384,16 +384,15 @@ def load_confounder(path) -> ConditionalConfounder:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed confounder file {path}: {exc}") from exc
     sigma = symmetrize(sigma)
-    eigs = np.linalg.eigvalsh(sigma)
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
-    if eigs.min() < -1e-8 * scale:
+    roots = psd_roots(sigma)
+    lam_min = float(roots.eigvals.min())
+    if lam_min < -1e-8 * max(float(np.max(np.abs(roots.eigvals))), 1.0):
         raise InputFormatError(
             f"sigma_u_given_t in {path} is not positive semidefinite "
-            f"(eigenvalue {eigs.min():.3e})"
+            f"(eigenvalue {lam_min:.3e})"
         )
-    if eigs.min() < 0:
-        lam, vec = np.linalg.eigh(sigma)
-        sigma = (vec * np.clip(lam, 0.0, None)) @ vec.T
+    if lam_min < 0:
+        sigma = roots.root @ roots.root
     return ConditionalConfounder(coef=coef, sigma_u_given_t=sigma, treatment_means=means)
 
 
@@ -410,11 +409,7 @@ def save_factor_model(fm: FactorModel, path, provenance: dict | None = None) -> 
 
 
 def load_factor_model(path) -> FactorModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read factor model file {path}: {exc}") from exc
+    payload = _read_json(path, "factor model")
     try:
         k = int(payload["k"])
         m = int(payload["m"])

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import as_vector, sym_inv_sqrt
+from ._linalg import as_vector, psd_roots
 from .copula import SensitivitySpec
 from .errors import CalibrationError, ConvergenceError, DegenerateModelError, DimensionError
 from .factor import ConditionalConfounder, TreatmentMatrix
@@ -290,13 +290,13 @@ def mcc_minimize(
         tol = 1e-8 if norm == "l2" else 1e-9
 
     sigma = bank.sigma_u_given_t
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
+    roots = psd_roots(sigma)
+    if roots.rank < bank.m:
         raise DegenerateModelError(
             "sigma_u_given_t is singular; the R2 ball is degenerate and the "
             "whitened problem is ill-posed"
         )
-    root_inv = sym_inv_sqrt(sigma)
+    root_inv = roots.inv_root
     g_mat = bank.sigma_y_given_t * (bank.deltas @ root_inv)
 
     lam = gap = None

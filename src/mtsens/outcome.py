@@ -5,7 +5,6 @@ the conditional CDF / quantile pair used by the copula machinery.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ from .errors import (
     SeparationError,
     SingularFitError,
 )
-from .factor import TreatmentMatrix
+from .factor import TreatmentMatrix, _read_json, _write_json
 
 
 @dataclass(frozen=True)
@@ -370,20 +369,12 @@ def save_outcome(model, path, provenance: dict | None = None) -> None:
         }
     else:
         raise TypeError(f"unsupported outcome model type {type(model).__name__}")
-    if provenance is not None:
-        payload = {"_provenance": provenance, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(payload, path, provenance)
 
 
 def load_outcome(path):
     """Read an outcome JSON written by save_outcome."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read outcome file {path}: {exc}") from exc
+    payload = _read_json(path, "outcome")
     try:
         kind = payload["kind"]
         if kind == "gaussian":

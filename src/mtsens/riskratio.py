@@ -15,10 +15,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from ._linalg import as_vector, sym_inv_sqrt, sym_sqrt
+from ._linalg import as_vector
 from .bounds import IgnoranceRegion, RobustnessValue
-from .calibrate import gamma_from_signed_r2
-from .copula import CDF_CLAMP, SensitivitySpec
+from .copula import CDF_CLAMP, R2_SLACK, SensitivitySpec, _check_unit
 from .errors import CalibrationError, DimensionError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import BinaryOutcome
@@ -109,15 +108,20 @@ def rr_curve(
     signed_r2_grid=None,
 ) -> list[tuple[float, float]]:
     """Risk ratio along a signed-R2 sweep in a fixed confounder direction:
-    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d."""
+    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d, the signed-R2 convention of
+    gamma_from_signed_r2. d must be a unit vector and |r2| at most 1."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
+    d = as_vector(direction, "direction")
+    _check_unit(d)
+    w = cc.sigma_inv_sqrt() @ d
     ev = _RrEvaluator(c, cc, bin_out, observed)
-    sigma = cc.sigma_u_given_t
     out = []
     for s in np.asarray(signed_r2_grid, dtype=float):
-        spec = gamma_from_signed_r2(float(s), direction, sigma)
-        out.append((float(s), ev.rr(spec.gamma)))
+        if not abs(s) <= 1.0 + R2_SLACK:
+            raise CalibrationError(f"r2 = {abs(s):.6g} outside [0, 1]")
+        sign = 1.0 if s >= 0 else -1.0
+        out.append((float(s), ev.rr(sign * math.sqrt(min(abs(s), 1.0)) * w)))
     return out
 
 
@@ -261,8 +265,7 @@ def rr_ignorance_region(
         )
         lower, upper = vmin, vmax
     else:
-        root = sym_sqrt(cc.sigma_u_given_t)
-        root_inv = sym_inv_sqrt(cc.sigma_u_given_t)
+        root_inv = cc.sigma_inv_sqrt()
 
         def rr_z(z):
             return ev.rr(root_inv @ z)
@@ -328,7 +331,7 @@ def _binary_rv_ball(
     ev: _RrEvaluator, cc: ConditionalConfounder, naive: float, seed: int
 ) -> RobustnessValue:
     """Bisection on the cap against the nested envelope of the region."""
-    root_inv = sym_inv_sqrt(cc.sigma_u_given_t)
+    root_inv = cc.sigma_inv_sqrt()
 
     def rr_z(z):
         return ev.rr(root_inv @ z)

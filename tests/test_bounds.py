@@ -9,14 +9,22 @@ from mtsens import (
     CalibrationError,
     ConditionalConfounder,
     Contrast,
+    ContrastBank,
+    CopulaSpec,
     DegenerateModelError,
     FactorModel,
+    GaussianOutcome,
     IgnoranceRegion,
+    InvalidCopulaError,
     SensitivitySpec,
+    TreatmentMatrix,
     bias_closed_form,
     conditional_confounder,
     contrast_bound_sweep,
     ignorance_region,
+    intervention_mean_general,
+    mcc_minimize,
+    mu_delta,
     robustness_value,
     single_treatment_bias,
     worst_case_bias,
@@ -98,6 +106,32 @@ def test_worst_case_bias_pseudo_inverse_inside_row_space():
     )
     c = Contrast(np.array([1.0]), np.array([0.0]))
     assert worst_case_bias(cc, 1.0, 1.0, c) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_near_singular_sigma_gets_one_verdict():
+    # the second eigenvalue sits below RANK_RTOL * lambda_max, so Sigma has
+    # rank 1 for the bound, the MCC solver and the general estimator alike
+    cc = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([0.5, 1e-11]))
+    assert cc.rank == 1
+    c = Contrast(np.array([1.0, 1.0]), np.zeros(2))
+    assert worst_case_bias(cc, 1.0, 0.5, c) == math.inf
+    bank = ContrastBank(
+        deltas=mu_delta(cc, c)[None, :],
+        naive=np.array([1.0]),
+        sigma_y_given_t=1.0,
+        sigma_u_given_t=cc.sigma_u_given_t,
+    )
+    with pytest.raises(DegenerateModelError):
+        mcc_minimize(bank, norm="l2", r2_cap=0.5)
+    outcome = GaussianOutcome(
+        tau_naive=np.array([1.0, 0.5]), intercept=0.0, sigma2_y_given_t=1.0
+    )
+    observed = TreatmentMatrix(np.random.default_rng(0).normal(size=(20, 2)))
+    with pytest.raises(InvalidCopulaError):
+        intervention_mean_general(
+            c.t1, CopulaSpec("gaussian", gamma=np.zeros(2)), cc, outcome, observed,
+            m_draws=10, n_draws=2,
+        )
 
 
 def test_worst_case_direction_scalar_sign():

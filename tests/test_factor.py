@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from mtsens import (
     save_factor_model,
     select_dim,
 )
+from mtsens._linalg import psd_roots
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -246,6 +248,40 @@ def test_whitened_shift_is_reparameterization_invariant(seed):
     base = np.linalg.norm(cc.sigma_inv_sqrt() @ mu_delta(cc, c))
     moved = np.linalg.norm(cc2.sigma_inv_sqrt() @ mu_delta(cc2, c))
     assert moved == pytest.approx(base, rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=5),
+    rank=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_psd_roots_of_random_rank(m, rank, seed):
+    rank = min(rank, m)
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    lam = np.zeros(m)
+    lam[:rank] = rng.uniform(0.05, 3.0, size=rank)
+    sigma = (v * lam) @ v.T
+    roots = psd_roots(sigma)
+    assert roots.rank == rank
+    assert roots.root @ roots.root == pytest.approx(sigma, abs=1e-10)
+    row_proj = v[:, :rank] @ v[:, :rank].T
+    assert roots.inv_root @ sigma @ roots.inv_root == pytest.approx(row_proj, abs=1e-9)
+    assert roots.null.shape == (m, m - rank)
+    assert roots.null.T @ roots.null == pytest.approx(np.eye(m - rank), abs=1e-10)
+    # spans the complement: null-space projector plus row-space projector is I
+    assert roots.null @ roots.null.T + row_proj == pytest.approx(np.eye(m), abs=1e-9)
+
+
+def test_replace_refactorizes_sigma():
+    cc = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([0.5, 0.2]))
+    moved = dataclasses.replace(cc, coef=2.0 * np.eye(2))
+    assert moved.roots is not cc.roots
+    assert moved.sigma_inv_sqrt() == pytest.approx(cc.sigma_inv_sqrt(), abs=1e-15)
+    singular = dataclasses.replace(cc, sigma_u_given_t=np.diag([0.5, 0.0]))
+    assert singular.rank == 1 and not singular.full_rank()
+    assert singular.roots.null == pytest.approx(np.array([[0.0], [1.0]]), abs=1e-15)
 
 
 def test_confounder_round_trip(tmp_path):
