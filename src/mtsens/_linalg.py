@@ -2,7 +2,9 @@
 
 Every square root, inverse root and rank of a symmetric PSD matrix comes
 from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
-RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular.
+RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
+and, through PsdRoots.leaves_row_space, on when a vector escapes its row
+space.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ from .errors import DimensionError
 
 # Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
+# Relative size of the out-of-row-space component that counts as leaving it.
+OUT_OF_ROW_SPACE_RTOL = 1e-8
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -58,6 +62,13 @@ class PsdRoots(NamedTuple):
     root: np.ndarray
     inv_root: np.ndarray
     null: np.ndarray
+
+    def leaves_row_space(self, v) -> bool:
+        """Whether the vector v has a component outside the row space,
+        relative to the size of v."""
+        v = np.asarray(v, dtype=float)
+        outside = np.linalg.norm(self.null.T @ v)
+        return bool(outside > OUT_OF_ROW_SPACE_RTOL * max(np.linalg.norm(v), 1e-300))
 
 
 def psd_roots(a: np.ndarray) -> PsdRoots:

@@ -19,8 +19,6 @@ from .copula import SensitivitySpec
 from .errors import CalibrationError, DegenerateModelError
 from .factor import ConditionalConfounder, Contrast, FactorModel, mu_delta
 
-OUT_OF_ROW_SPACE_RTOL = 1e-8
-
 REASON_ROW_SPACE = (
     "confounder mean difference has a component outside the row space of a "
     "singular sigma_u_given_t, so the bias can be made arbitrarily large"
@@ -105,8 +103,7 @@ def _whitened_mu_delta(cc: ConditionalConfounder, c: Contrast):
     pseudo-inverse root when Sigma is singular), or None when the mean
     difference leaves the row space of Sigma (the unbounded case)."""
     mu = mu_delta(cc, c)
-    outside = cc.roots.null.T @ mu
-    if np.linalg.norm(outside) > OUT_OF_ROW_SPACE_RTOL * max(np.linalg.norm(mu), 1e-300):
+    if cc.roots.leaves_row_space(mu):
         return None
     return cc.roots.inv_root @ mu
 

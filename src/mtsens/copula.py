@@ -18,21 +18,12 @@ import numpy as np
 from scipy.stats import norm
 
 from ._linalg import as_vector, psd_roots
-from .errors import CalibrationError, DimensionError, InvalidCopulaError
+from .errors import CalibrationError, DegenerateModelError, DimensionError, InvalidCopulaError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
-
-
-def _check_unit(direction: np.ndarray) -> None:
-    nrm = float(np.linalg.norm(direction))
-    if abs(nrm - 1.0) > 1e-10:
-        raise CalibrationError(
-            f"direction must be a unit vector (norm {nrm:.12g}); "
-            "normalize it explicitly before calling"
-        )
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,8 @@ class SensitivitySpec:
 
     gamma is standardized; r2 = gamma' Sigma gamma is the share of the
     Gaussianized residual variance attributed to the confounder; direction
-    is the unit vector d with gamma = sqrt(r2) Sigma^{-1/2} d.
+    is the unit vector d with gamma = sqrt(r2) Sigma^{-1/2} d, which lies in
+    the row space of Sigma when Sigma is singular.
     """
 
     gamma: np.ndarray
@@ -78,10 +70,22 @@ class SensitivitySpec:
         if not (0.0 <= r2 <= 1.0 + R2_SLACK):
             raise CalibrationError(f"r2 = {r2:.6g} outside [0, 1]")
         r2 = min(float(r2), 1.0)
+        nrm = float(np.linalg.norm(direction))
         if r2 == 0.0:
             return cls(gamma=np.zeros_like(direction), r2=0.0, direction=direction * 0.0)
-        _check_unit(direction)
-        gamma = np.sqrt(r2) * (psd_roots(sigma_u_given_t).inv_root @ direction)
+        if abs(nrm - 1.0) > 1e-10:
+            raise CalibrationError(
+                f"direction must be a unit vector (norm {nrm:.12g}); "
+                "normalize it explicitly before calling"
+            )
+        roots = psd_roots(sigma_u_given_t)
+        if roots.leaves_row_space(direction):
+            raise DegenerateModelError(
+                "direction leaves the row space of a singular sigma_u_given_t: "
+                "Sigma^{1/2} gamma never points there, so no gamma has this "
+                "direction"
+            )
+        gamma = np.sqrt(r2) * (roots.inv_root @ direction)
         return cls(gamma=gamma, r2=r2, direction=direction)
 
     def transformed(self, a: np.ndarray) -> "SensitivitySpec":

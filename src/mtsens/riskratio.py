@@ -17,8 +17,9 @@ from scipy.stats import norm
 
 from ._linalg import as_vector
 from .bounds import IgnoranceRegion, RobustnessValue
-from .copula import CDF_CLAMP, R2_SLACK, SensitivitySpec, _check_unit
-from .errors import CalibrationError, DimensionError
+from .calibrate import gamma_from_signed_r2
+from .copula import CDF_CLAMP, SensitivitySpec
+from .errors import CalibrationError, DegenerateModelError, DimensionError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import BinaryOutcome
 
@@ -99,6 +100,16 @@ class _RrEvaluator:
         return num1 / num2
 
 
+def _require_full_rank(cc: ConditionalConfounder) -> None:
+    """The searches run over the ball gamma' Sigma gamma <= cap, which is
+    unbounded along the null space of a singular Sigma."""
+    if not cc.full_rank():
+        raise DegenerateModelError(
+            "sigma_u_given_t is singular; gamma in its null space has zero "
+            "confounder R2, so the risk-ratio search has no bounded R2 ball"
+        )
+
+
 def rr_curve(
     c: Contrast,
     cc: ConditionalConfounder,
@@ -108,20 +119,15 @@ def rr_curve(
     signed_r2_grid=None,
 ) -> list[tuple[float, float]]:
     """Risk ratio along a signed-R2 sweep in a fixed confounder direction:
-    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d, the signed-R2 convention of
-    gamma_from_signed_r2. d must be a unit vector and |r2| at most 1."""
+    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
-    d = as_vector(direction, "direction")
-    _check_unit(d)
-    w = cc.sigma_inv_sqrt() @ d
     ev = _RrEvaluator(c, cc, bin_out, observed)
+    sigma = cc.sigma_u_given_t
     out = []
     for s in np.asarray(signed_r2_grid, dtype=float):
-        if not abs(s) <= 1.0 + R2_SLACK:
-            raise CalibrationError(f"r2 = {abs(s):.6g} outside [0, 1]")
-        sign = 1.0 if s >= 0 else -1.0
-        out.append((float(s), ev.rr(sign * math.sqrt(min(abs(s), 1.0)) * w)))
+        spec = gamma_from_signed_r2(float(s), direction, sigma)
+        out.append((float(s), ev.rr(spec.gamma)))
     return out
 
 
@@ -249,10 +255,12 @@ def rr_ignorance_region(
 
     Scalar confounders get a grid-plus-golden-section search over the gamma
     interval; higher dimensions get random restarts with coordinate
-    refinement on the whitened ball.
+    refinement on the whitened ball. A singular Sigma raises
+    DegenerateModelError.
     """
     if not (0.0 <= r2_cap <= 1.0):
         raise CalibrationError(f"r2_cap = {r2_cap:.6g} outside [0, 1]")
+    _require_full_rank(cc)
     ev = _RrEvaluator(c, cc, bin_out, observed)
     naive = ev.rr(np.zeros(cc.m))
     if r2_cap == 0.0:
@@ -265,7 +273,7 @@ def rr_ignorance_region(
         )
         lower, upper = vmin, vmax
     else:
-        root_inv = cc.sigma_inv_sqrt()
+        root_inv = cc.roots.inv_root
 
         def rr_z(z):
             return ev.rr(root_inv @ z)
@@ -292,11 +300,13 @@ def binary_rv(
     seed: int = 0,
 ) -> RobustnessValue:
     """Smallest confounder R2 at which some admissible gamma drives the risk
-    ratio to 1; value 1 with robust=True when even R2 = 1 cannot."""
+    ratio to 1; value 1 with robust=True when even R2 = 1 cannot. A
+    singular Sigma raises DegenerateModelError."""
     ev = _RrEvaluator(c, cc, bin_out, observed)
     naive = ev.rr(np.zeros(cc.m))
     if abs(naive - 1.0) < 1e-14:
         return RobustnessValue(0.0, False)
+    _require_full_rank(cc)
     if cc.m == 1:
         return _binary_rv_1d(ev, cc, naive)
     return _binary_rv_ball(ev, cc, naive, seed)
@@ -331,7 +341,7 @@ def _binary_rv_ball(
     ev: _RrEvaluator, cc: ConditionalConfounder, naive: float, seed: int
 ) -> RobustnessValue:
     """Bisection on the cap against the nested envelope of the region."""
-    root_inv = cc.sigma_inv_sqrt()
+    root_inv = cc.roots.inv_root
 
     def rr_z(z):
         return ev.rr(root_inv @ z)

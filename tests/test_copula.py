@@ -9,6 +9,7 @@ from mtsens import (
     ConditionalConfounder,
     Contrast,
     CopulaSpec,
+    DegenerateModelError,
     FactorModel,
     GaussianOutcome,
     InvalidCopulaError,
@@ -98,6 +99,16 @@ def test_spec_rejects_non_unit_direction():
         SensitivitySpec.from_r2_direction(
             0.5, np.array([1.0, 1.0]), np.eye(2)
         )
+
+
+def test_spec_direction_outside_row_space_of_singular_sigma():
+    # Sigma^{1/2} gamma always lies in the row space of Sigma, so no gamma
+    # has a direction with a component along the null vector (0, 1)
+    sigma = np.diag([1.0, 0.0])
+    with pytest.raises(DegenerateModelError):
+        SensitivitySpec.from_r2_direction(0.5, np.array([0.0, 1.0]), sigma)
+    spec = SensitivitySpec.from_r2_direction(0.5, np.array([1.0, 0.0]), sigma)
+    assert float(spec.gamma @ sigma @ spec.gamma) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_spec_rejects_excess_variance_share():

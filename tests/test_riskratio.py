@@ -9,6 +9,7 @@ from mtsens import (
     CalibrationError,
     ConditionalConfounder,
     Contrast,
+    DegenerateModelError,
     SensitivitySpec,
     TreatmentMatrix,
     binary_rv,
@@ -173,6 +174,34 @@ def test_rr_region_nesting_m2():
     assert large.lower <= small.lower + 1e-6
     assert large.upper >= small.upper - 1e-6
     assert small.contains(small.naive)
+
+
+def test_singular_sigma_is_refused_by_the_searches():
+    # gamma = (0, g) has zero R2 under Sigma = diag(1, 0) for every g, yet
+    # it shifts the probit index of the contrast e2 vs 0
+    cc = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([1.0, 0.0]))
+    observed = TreatmentMatrix(np.random.default_rng(3).normal(size=(30, 2)))
+    bo = BinaryOutcome(probit_coef=np.array([0.5, 0.8]), probit_intercept=0.0, p_y1=0.5)
+    c = Contrast(np.array([0.0, 1.0]), np.zeros(2))
+    with pytest.raises(DegenerateModelError):
+        rr_ignorance_region(c, cc, bo, observed, 0.5, n_restarts=10)
+    with pytest.raises(DegenerateModelError):
+        binary_rv(c, cc, bo, observed)
+    with pytest.raises(DegenerateModelError):
+        rr_curve(c, cc, bo, observed, np.array([0.0, 1.0]), signed_r2_grid=[0.5])
+    # a sweep along a direction inside the row space stays well defined
+    curve = rr_curve(c, cc, bo, observed, np.array([1.0, 0.0]), signed_r2_grid=[0.0])
+    naive = rr_contrast(
+        c, SensitivitySpec.from_gamma(np.zeros(2), cc.sigma_u_given_t), cc, bo, observed
+    )
+    assert curve[0][1] == pytest.approx(naive, abs=1e-12)
+    # a scalar confounder with zero variance gets the same typed error
+    cc0 = ConditionalConfounder(coef=np.array([[1.0]]), sigma_u_given_t=np.zeros((1, 1)))
+    c1 = Contrast(np.array([1.0]), np.array([-1.0]))
+    with pytest.raises(DegenerateModelError):
+        rr_ignorance_region(c1, cc0, _binout(0.8), TWO_POINT, 0.5)
+    with pytest.raises(DegenerateModelError):
+        binary_rv(c1, cc0, _binout(0.8), TWO_POINT)
 
 
 def test_rr_region_cap_validation():
