@@ -24,6 +24,8 @@ from .outcome import conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
+# (row, draw) pairs per block of the importance sampler
+_BLOCK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -200,15 +202,24 @@ class MonteCarloMean(NamedTuple):
     n_rows: int
 
 
+def _clamp_count(u: np.ndarray) -> int:
+    return int(np.count_nonzero((u < CDF_CLAMP) | (u > 1 - CDF_CLAMP)))
+
+
+def _warn_clamped(clamped: int, size: int, stacklevel: int) -> None:
+    """Warn when more than 0.1% of size copula uniforms hit the CDF clamp;
+    stacklevel counts from the caller of this helper."""
+    if clamped > 0.001 * size:
+        warnings.warn(
+            f"{clamped} of {size} copula draws hit the CDF clamping bounds; "
+            "tail behavior may be distorted",
+            stacklevel=stacklevel + 1,
+        )
+
+
 def _clamped_phi(ytilde: np.ndarray) -> np.ndarray:
     u = norm.cdf(ytilde)
-    clamped = np.count_nonzero((u < CDF_CLAMP) | (u > 1 - CDF_CLAMP))
-    if clamped > 0.001 * u.size:
-        warnings.warn(
-            f"{clamped} of {u.size} copula draws hit the CDF clamping bounds; "
-            "tail behavior may be distorted",
-            stacklevel=3,
-        )
+    _warn_clamped(_clamp_count(u), u.size, stacklevel=3)
     return np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP)
 
 
@@ -324,11 +335,16 @@ def intervention_mean_general(
 
     Draws y from f(y|t) by inverse-CDF sampling (so F(y) is the uniform
     driving it), draws confounders from each observed row's conditional law,
-    and weights by the copula density averaged over those draws.
+    and weights by the copula density averaged over those draws. The
+    weights accumulate over blocks of whole rows, a few thousand (row, draw)
+    pairs each, so scratch memory is m_draws x block, independent of the
+    number of rows. A custom density is called once per block.
     """
     if m_draws < 1 or n_draws < 1:
         raise ValueError("m_draws and n_draws must be at least 1")
     t = as_vector(t, "t")
+    if t.shape[0] != cc.k:
+        raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = _select_rows(observed, max_rows, rng)
     n = rows.shape[0]
@@ -345,26 +361,31 @@ def intervention_mean_general(
         )
     sigma = cc.sigma_u_given_t
     root = cc.roots.root
-    mu_rows = cc.mu_u_given_t(rows)  # n x m
-    zu = rng.standard_normal(size=(n, n_draws, m))
-    u = mu_rows[:, None, :] + zu @ root.T
-
     # margins of U | t at the intervention point
     mu_t = cc.mu_u_given_t(t)
     sd_t = np.sqrt(np.diag(sigma))
-    q = norm.cdf((u.reshape(n * n_draws, m) - mu_t) / sd_t)
-    q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
 
-    if copula.kind == "gaussian":
-        cvals = gaussian_copula_density(
-            copula.gamma, sigma, np.repeat(p, n * n_draws), np.tile(q, (m_draws, 1))
-        ).reshape(m_draws, n * n_draws)
-    else:
-        cvals = np.asarray(
-            copula.density(np.repeat(p, n * n_draws), np.tile(q, (m_draws, 1))),
-            dtype=float,
-        ).reshape(m_draws, n * n_draws)
-    w = cvals.mean(axis=1)
+    # blocks of whole rows draw zu in row order: the same stream as one draw
+    step = max(1, _BLOCK_PAIRS // n_draws)
+    w_sum = np.zeros(m_draws)
+    clamped = 0
+    for start in range(0, n, step):
+        block = rows[start:start + step]
+        zu = rng.standard_normal(size=(block.shape[0], n_draws, m))
+        u = cc.mu_u_given_t(block)[:, None, :] + zu @ root.T
+        q = norm.cdf((u.reshape(-1, m) - mu_t) / sd_t)
+        clamped += _clamp_count(q)
+        q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
+        if copula.kind == "gaussian":
+            cvals = gaussian_copula_density(copula.gamma, sigma, p[:, None], q[None])
+        else:
+            cvals = np.asarray(
+                copula.density(np.repeat(p, q.shape[0]), np.tile(q, (m_draws, 1))),
+                dtype=float,
+            ).reshape(m_draws, q.shape[0])
+        w_sum += cvals.sum(axis=1)
+    _warn_clamped(clamped, n * n_draws * m, stacklevel=2)
+    w = w_sum / (n * n_draws)
     w_se = float(np.std(w, ddof=1) / np.sqrt(m_draws)) if m_draws > 1 else float("nan")
     if m_draws > 1 and abs(float(np.mean(w)) - 1.0) > 5 * w_se:
         warnings.warn(
@@ -380,7 +401,7 @@ def gaussianize(outcome, t, y):
     """Map outcome values to the standardized Gaussian scale at t."""
     cdf, _ = conditional_cdf_quantile(outcome, t)
     u = np.asarray(cdf(y), dtype=float)
-    clamped = np.count_nonzero((u < CDF_CLAMP) | (u > 1 - CDF_CLAMP))
+    clamped = _clamp_count(u)
     if clamped:
         warnings.warn(
             f"{clamped} outcome values hit the CDF clamping bounds during "

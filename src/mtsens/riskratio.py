@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from ._linalg import as_vector
@@ -93,8 +94,8 @@ class _RrEvaluator:
         self.s2 = (observed.data - c.t2) @ cc.coef.T
 
     def rr(self, gamma: np.ndarray) -> float:
-        num1 = float(np.mean(norm.cdf(self.eta1 + self.s1 @ gamma)))
-        num2 = float(np.mean(norm.cdf(self.eta2 + self.s2 @ gamma)))
+        num1 = float(np.mean(ndtr(self.eta1 + self.s1 @ gamma)))
+        num2 = float(np.mean(ndtr(self.eta2 + self.s2 @ gamma)))
         if num2 < 1e-300:
             return math.inf
         return num1 / num2

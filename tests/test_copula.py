@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mtsens import (
@@ -10,11 +14,13 @@ from mtsens import (
     Contrast,
     CopulaSpec,
     DegenerateModelError,
+    DimensionError,
     FactorModel,
     GaussianOutcome,
     InvalidCopulaError,
     SensitivitySpec,
     TreatmentMatrix,
+    conditional_cdf_quantile,
     conditional_confounder,
     degaussianize,
     gaussian_copula_density,
@@ -26,6 +32,8 @@ from mtsens import (
     naive_closed_form,
     SimTruth,
 )
+from mtsens import copula as copula_module
+from mtsens.copula import CDF_CLAMP
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -309,6 +317,123 @@ def test_custom_copula_density_accepted():
     )
     se = outcome.sigma() / math.sqrt(2000)
     assert abs(est - outcome.mean(np.zeros(4))) <= 4 * se
+
+
+def test_general_estimator_rejects_wrong_length_t():
+    _, data, cc, outcome = _linear_setup(n=100, seed=13)
+    copula = CopulaSpec("gaussian", gamma=np.zeros(1))
+    for k in (cc.k - 1, cc.k + 1):
+        with pytest.raises(DimensionError, match=f"t has length {k}, expected {cc.k}"):
+            intervention_mean_general(
+                np.zeros(k), copula, cc, outcome, data.treatments, m_draws=10, n_draws=2
+            )
+
+
+def test_general_estimator_warns_on_clamped_confounder_cdf(monkeypatch):
+    _, data, cc, outcome = _linear_setup(n=100, seed=14)
+    # several blocks, so the count must add up over all of them
+    monkeypatch.setattr(copula_module, "_BLOCK_PAIRS", 8)
+    copula = CopulaSpec("gaussian", gamma=np.zeros(1))
+    kwargs = dict(m_draws=50, n_draws=4, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        intervention_mean_general(np.zeros(4), copula, cc, outcome, data.treatments, **kwargs)
+    assert not [w for w in caught if "clamping" in str(w.message)]
+    # mu_{u|t} far from every row's confounder mean puts q at 0 or 1
+    far = np.array([1e3, 0.0, 0.0, 0.0])
+    with pytest.warns(UserWarning, match="400 of 400 copula draws hit the CDF clamping bounds"):
+        intervention_mean_general(far, copula, cc, outcome, data.treatments, **kwargs)
+
+
+def _fgm_first(p, q):
+    return 1.0 + 0.7 * (1.0 - 2.0 * p) * (1.0 - 2.0 * q[..., 0])
+
+
+def _random_model(seed, n, k, m):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m))
+    cc = ConditionalConfounder(
+        coef=rng.normal(size=(m, k)),
+        sigma_u_given_t=a @ a.T + 0.5 * np.eye(m),
+        treatment_means=rng.normal(size=k),
+    )
+    outcome = GaussianOutcome(
+        tau_naive=rng.normal(size=k), intercept=3.0, sigma2_y_given_t=0.5
+    )
+    direction = rng.normal(size=m)
+    spec = SensitivitySpec.from_r2_direction(
+        float(rng.uniform(0.0, 0.8)), direction / np.linalg.norm(direction),
+        cc.sigma_u_given_t,
+    )
+    return cc, outcome, spec, TreatmentMatrix(rng.normal(size=(n, k))), rng.normal(size=k)
+
+
+def _general_reference(t, copula, cc, outcome, observed, m_draws, n_draws, seed):
+    """The importance sampler on the whole repeat/tile product at once."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = observed.data
+    n, m = rows.shape[0], cc.m
+    p = rng.uniform(CDF_CLAMP, 1 - CDF_CLAMP, size=m_draws)
+    y = conditional_cdf_quantile(outcome, t)[1](p)
+    zu = rng.standard_normal(size=(n, n_draws, m))
+    u = cc.mu_u_given_t(rows)[:, None, :] + zu @ cc.roots.root.T
+    sd = np.sqrt(np.diag(cc.sigma_u_given_t))
+    q = norm.cdf((u.reshape(n * n_draws, m) - cc.mu_u_given_t(t)) / sd)
+    q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
+    pp, qq = np.repeat(p, n * n_draws), np.tile(q, (m_draws, 1))
+    if copula.kind == "gaussian":
+        cvals = gaussian_copula_density(copula.gamma, cc.sigma_u_given_t, pp, qq)
+    else:
+        cvals = copula.density(pp, qq)
+    w = cvals.reshape(m_draws, n * n_draws).mean(axis=1)
+    return float(np.mean(y * w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(1, 3),
+    n_draws=st.integers(1, 7),
+    m_draws=st.integers(1, 30),
+    kind=st.sampled_from(["gaussian", "custom"]),
+    block=st.sampled_from([1, 2, 5, 13, 64, 4096]),
+)
+def test_blocked_general_estimator_equals_unblocked(
+    seed, n, m, n_draws, m_draws, kind, block
+):
+    cc, outcome, spec, observed, t = _random_model(seed, n, 3, m)
+    if kind == "gaussian":
+        copula = CopulaSpec("gaussian", gamma=spec.gamma)
+    else:
+        copula = CopulaSpec("custom", density=_fgm_first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = _general_reference(t, copula, cc, outcome, observed, m_draws, n_draws, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copula_module, "_BLOCK_PAIRS", block)
+            got = intervention_mean_general(
+                t, copula, cc, outcome, observed, m_draws=m_draws, n_draws=n_draws,
+                seed=seed,
+            )
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_general_estimator_memory_independent_of_rows():
+    cc, outcome, spec, observed, t = _random_model(0, 1000, 5, 3)
+    copula = CopulaSpec("gaussian", gamma=spec.gamma)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            intervention_mean_general(
+                t, copula, cc, outcome, observed, m_draws=200, n_draws=20, seed=1
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_gaussianize_identities():
