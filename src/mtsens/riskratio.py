@@ -1,10 +1,12 @@
-"""Risk-ratio sensitivity for binary outcomes: closed-form single-point and
-contrast risk ratios under the Gaussian-copula model, signed-R2 curves,
-ignorance regions by numeric search, and the binary robustness value.
+"""Risk-ratio sensitivity for binary outcomes under the Gaussian-copula model.
 
-Risk ratios are not monotone in the confounding strength, so regions come
-from extremum searches over the whole gamma ellipsoid, never from endpoint
-evaluation.
+rr_single and rr_contrast give the closed-form risk ratio at one gamma, and
+rr_curve along a signed-R2 sweep. The ignorance region and the binary
+robustness value are extremum problems over the whitened R2 ball
+||z|| <= sqrt(cap), z = Sigma^{1/2} gamma. Risk ratios are not monotone in
+the confounding strength, so both run one search for every m: a seeded
+restart set evaluated in one batched product, then SLSQP with the analytic
+gradient of rr(z) from the best restarts.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -24,8 +26,14 @@ from .errors import CalibrationError, DegenerateModelError, DimensionError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import BinaryOutcome
 
-RR_TOL = 1e-6
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Restarts polished by SLSQP in each direction.
+_N_POLISH = 4
+# Restart count of the full-ball search in binary_rv, and its ray scan.
+_RV_RESTARTS = 32
+_RV_SCAN = 64
+# Largest (row, point) product one batched evaluation holds at once.
+_BLOCK = 1 << 20
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray) -> float:
@@ -41,20 +49,15 @@ def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray) -> float:
     return eta
 
 
-def _numerator(
-    t,
-    gamma: np.ndarray,
-    cc: ConditionalConfounder,
-    bin_out: BinaryOutcome,
-    observed: TreatmentMatrix,
-) -> float:
-    """Mean over observed rows of Phi(Phi^{-1}(mu_{y|t}) + gamma' shift)."""
-    t = as_vector(t, "t")
-    if t.shape[0] != cc.k:
-        raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
-    eta = _linear_predictor(bin_out, t)
-    shifts = (observed.data - t) @ (cc.coef.T @ gamma)
-    return float(np.mean(norm.cdf(eta + shifts)))
+def _endpoint(t, name, cc, bin_out, observed, basis):
+    """Probit index eta at t and the shift matrix (T_obs - t) coef' basis, so
+    that P(Y=1 | do(t)) = mean Phi(eta + shift @ x) at coordinates x."""
+    t = as_vector(t, name)
+    for what, k in ((name, t.shape[0]), ("observed treatments", observed.k),
+                    ("probit_coef", bin_out.k)):
+        if k != cc.k:
+            raise DimensionError(f"{what} has dimension {k}, expected k = {cc.k}")
+    return _linear_predictor(bin_out, t), (observed.data - t) @ (cc.coef.T @ basis)
 
 
 def rr_single(
@@ -65,7 +68,8 @@ def rr_single(
     observed: TreatmentMatrix,
 ) -> float:
     """P(Y=1 | do(T=t)) / P(Y=1) under the Gaussian-copula model."""
-    return _numerator(t, spec.gamma, cc, bin_out, observed) / bin_out.p_y1
+    eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m))
+    return float(np.mean(ndtr(eta + shift @ spec.gamma))) / bin_out.p_y1
 
 
 def rr_contrast(
@@ -77,28 +81,46 @@ def rr_contrast(
 ) -> float:
     """Risk ratio P(Y=1 | do(t1)) / P(Y=1 | do(t2)); the marginal p_y1
     cancels exactly."""
-    num1 = _numerator(c.t1, spec.gamma, cc, bin_out, observed)
-    num2 = _numerator(c.t2, spec.gamma, cc, bin_out, observed)
-    if num2 < 1e-300:
+    rr = float(_RrEvaluator(c, cc, bin_out, observed, np.eye(cc.m)).rr(spec.gamma)[0])
+    if math.isinf(rr):
         raise ZeroDivisionError("denominator intervention probability is zero")
-    return num1 / num2
+    return rr
 
 
 class _RrEvaluator:
-    """Precomputed pieces so rr(gamma) costs one matrix-vector per endpoint."""
+    """rr(x) = mean Phi(eta1 + S1 x) / mean Phi(eta2 + S2 x) for a contrast,
+    with S_i = (T_obs - t_i) coef' basis. The default basis Sigma^{-1/2}
+    makes x the whitened point z = Sigma^{1/2} gamma."""
 
-    def __init__(self, c, cc, bin_out, observed):
-        self.eta1 = _linear_predictor(bin_out, as_vector(c.t1, "t1"))
-        self.eta2 = _linear_predictor(bin_out, as_vector(c.t2, "t2"))
-        self.s1 = (observed.data - c.t1) @ cc.coef.T
-        self.s2 = (observed.data - c.t2) @ cc.coef.T
+    def __init__(self, c, cc, bin_out, observed, basis=None):
+        basis = cc.roots.inv_root if basis is None else basis
+        self.eta1, self.s1 = _endpoint(c.t1, "t1", cc, bin_out, observed, basis)
+        self.eta2, self.s2 = _endpoint(c.t2, "t2", cc, bin_out, observed, basis)
 
-    def rr(self, gamma: np.ndarray) -> float:
-        num1 = float(np.mean(ndtr(self.eta1 + self.s1 @ gamma)))
-        num2 = float(np.mean(ndtr(self.eta2 + self.s2 @ gamma)))
-        if num2 < 1e-300:
-            return math.inf
-        return num1 / num2
+    def rr(self, x) -> np.ndarray:
+        """Risk ratio at each row of x (one point may be a vector); inf where
+        the denominator probability vanishes."""
+        x = np.atleast_2d(x)
+        out = np.empty(x.shape[0])
+        step = max(1, _BLOCK // self.s1.shape[0])
+        for i in range(0, x.shape[0], step):
+            xb = x[i:i + step].T
+            num1 = ndtr(self.eta1 + self.s1 @ xb).mean(axis=0)
+            num2 = ndtr(self.eta2 + self.s2 @ xb).mean(axis=0)
+            np.divide(num1, num2, out=out[i:i + step], where=num2 >= 1e-300)
+            out[i:i + step][num2 < 1e-300] = math.inf
+        return out
+
+    def rr_and_grad(self, x: np.ndarray):
+        """rr at one point and its gradient
+        (S1' phi(a1) N2 - N1 S2' phi(a2)) / (n N2^2), a_i = eta_i + S_i x."""
+        a1 = self.eta1 + self.s1 @ x
+        a2 = self.eta2 + self.s2 @ x
+        n1, n2 = ndtr(a1).mean(), ndtr(a2).mean()
+        d1 = self.s1.T @ np.exp(-0.5 * a1 * a1)
+        d2 = self.s2.T @ np.exp(-0.5 * a2 * a2)
+        grad = (d1 * n2 - n1 * d2) / (_SQRT_2PI * a1.shape[0] * n2 * n2)
+        return float(n1 / n2), grad
 
 
 def _require_full_rank(cc: ConditionalConfounder) -> None:
@@ -123,124 +145,64 @@ def rr_curve(
     gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
+    grid = [float(s) for s in np.asarray(signed_r2_grid, dtype=float)]
     ev = _RrEvaluator(c, cc, bin_out, observed)
-    sigma = cc.sigma_u_given_t
-    out = []
-    for s in np.asarray(signed_r2_grid, dtype=float):
-        spec = gamma_from_signed_r2(float(s), direction, sigma)
-        out.append((float(s), ev.rr(spec.gamma)))
-    return out
+    specs = [gamma_from_signed_r2(s, direction, cc.sigma_u_given_t) for s in grid]
+    z = np.array([math.sqrt(sp.r2) * sp.direction for sp in specs]).reshape(-1, cc.m)
+    return list(zip(grid, ev.rr(z).tolist()))
 
 
-def _golden_extremum(f, a: float, b: float, minimize: bool, xtol: float = 1e-12):
-    """Golden-section search on [a, b]; returns (x, f(x)) at the extremum."""
-    sign = 1.0 if minimize else -1.0
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = sign * f(x1)
-    f2 = sign * f(x2)
-    while b - a > xtol * (1.0 + abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = sign * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = sign * f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _extremes_1d(rr_of_gamma, lo: float, hi: float, n_grid: int = 512):
-    """Global min and max of a smooth function on [lo, hi]: coarse grid to
-    localize, golden-section to refine every bracketed extremum."""
-    grid = np.linspace(lo, hi, n_grid)
-    vals = np.array([rr_of_gamma(g) for g in grid])
-    best_min = (float(grid[np.argmin(vals)]), float(vals.min()))
-    best_max = (float(grid[np.argmax(vals)]), float(vals.max()))
-    h = grid[1] - grid[0]
-    for minimize in (True, False):
-        vcmp = vals if minimize else -vals
-        interior = np.where(
-            (vcmp[1:-1] <= vcmp[:-2]) & (vcmp[1:-1] <= vcmp[2:])
-        )[0] + 1
-        candidates = set(int(i) for i in interior) | {0, n_grid - 1}
-        for i in candidates:
-            a = max(lo, grid[i] - h)
-            b = min(hi, grid[i] + h)
-            x, fx = _golden_extremum(rr_of_gamma, a, b, minimize)
-            if minimize and fx < best_min[1]:
-                best_min = (x, fx)
-            if not minimize and fx > best_max[1]:
-                best_max = (x, fx)
-    return best_min, best_max
-
-
-def _coordinate_refine(rr, z: np.ndarray, radius: float, minimize: bool,
-                       sweeps: int = 25, tol: float = RR_TOL):
-    """Cyclic coordinate search on the whitened ball ||z|| <= radius."""
-    z = z.copy()
-    best = rr(z)
-    sign = 1.0 if minimize else -1.0
-    converged = False
-    for _ in range(sweeps):
-        improved = 0.0
-        for j in range(z.shape[0]):
-            rest = float(z @ z - z[j] ** 2)
-            half = math.sqrt(max(radius**2 - rest, 0.0))
-            if half == 0.0:
-                continue
-
-            def f_j(v, j=j):
-                zz = z.copy()
-                zz[j] = v
-                return rr(zz)
-
-            x, fx = _golden_extremum(f_j, -half, half, minimize, xtol=1e-10)
-            if sign * fx < sign * best:
-                improved += abs(fx - best)
-                best = fx
-                z[j] = x
-        if improved < tol:
-            converged = True
-            break
-    return z, best, converged
-
-
-def _extremes_ball(
-    rr_z,
-    m: int,
-    radius: float,
-    n_restarts: int,
-    seed: int,
-    warm_starts=(),
-):
-    """Min and max of rr over the whitened ball: random restarts plus
-    coordinate refinement of the best candidates."""
+def _restarts(m: int, radius: float, n_restarts: int, seed: int) -> np.ndarray:
+    """The seeded restart set: the centre, n_restarts uniform points of the
+    ball ||z|| <= radius, then their projections onto its sphere."""
     rng = np.random.default_rng(seed)
-    points = [np.zeros(m)]
-    points.extend(np.asarray(w, dtype=float) for w in warm_starts)
-    for _ in range(n_restarts):
-        d = rng.standard_normal(m)
-        d /= max(np.linalg.norm(d), 1e-300)
-        r = radius * rng.uniform() ** (1.0 / m)
-        points.append(r * d)
-        points.append(radius * d)
-    vals = np.array([rr_z(p) for p in points])
-    order_min = np.argsort(vals)[:4]
-    order_max = np.argsort(vals)[-4:]
-    best_min, zmin, ok_min = math.inf, points[0], True
-    best_max, zmax, ok_max = -math.inf, points[0], True
-    for i in order_min:
-        z, v, conv = _coordinate_refine(rr_z, points[int(i)], radius, True)
-        if v < best_min:
-            best_min, zmin, ok_min = v, z, conv
-    for i in order_max:
-        z, v, conv = _coordinate_refine(rr_z, points[int(i)], radius, False)
-        if v > best_max:
-            best_max, zmax, ok_max = v, z, conv
-    return (best_min, zmin, ok_min), (best_max, zmax, ok_max)
+    d = rng.standard_normal((n_restarts, m))
+    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+    r = radius * rng.uniform(size=(n_restarts, 1)) ** (1.0 / m)
+    return np.vstack([np.zeros((1, m)), r * d, radius * d])
+
+
+def _ball(radius: float) -> dict:
+    return {"type": "ineq", "fun": lambda z: radius * radius - z @ z,
+            "jac": lambda z: -2.0 * z}
+
+
+def _into_ball(z: np.ndarray, radius: float) -> np.ndarray:
+    nrm = float(np.linalg.norm(z))
+    return z * (radius / nrm) if nrm > radius else z
+
+
+def _ball_extremes(ev: _RrEvaluator, points: np.ndarray, radius: float):
+    """Min and max of rr over ||z|| <= radius: the restart points in one
+    batched call, then SLSQP from the best _N_POLISH of them each way.
+
+    Returns (min value, argmin), (max value, argmax) and whether some
+    direction had no successful polish. Every reported value is rr at a
+    point of the ball.
+    """
+    points = np.unique(points, axis=0)
+    vals = ev.rr(points)
+    order = np.argsort(vals)
+    found, stable = [], True
+    for sign, starts in ((1.0, order[:_N_POLISH]), (-1.0, order[::-1][:_N_POLISH])):
+
+        def objective(z, sign=sign):
+            v, g = ev.rr_and_grad(z)
+            return sign * v, sign * g
+
+        best_v, best_z, ok = vals[starts[0]], points[starts[0]], False
+        for i in starts:
+            res = minimize(objective, points[i], jac=True, method="SLSQP",
+                           constraints=[_ball(radius)],
+                           options={"ftol": 1e-12, "maxiter": 200})
+            ok |= bool(res.success)
+            z = _into_ball(res.x, radius)
+            v = float(ev.rr(z)[0])
+            if sign * v < sign * best_v:
+                best_v, best_z = v, z
+        found.append((float(best_v), best_z))
+        stable &= ok
+    return found[0], found[1], stable
 
 
 def rr_ignorance_region(
@@ -254,43 +216,46 @@ def rr_ignorance_region(
 ) -> IgnoranceRegion:
     """Range of risk ratios over all gamma with gamma' Sigma gamma <= r2_cap.
 
-    Scalar confounders get a grid-plus-golden-section search over the gamma
-    interval; higher dimensions get random restarts with coordinate
-    refinement on the whitened ball. A singular Sigma raises
-    DegenerateModelError.
+    One search for every m on the whitened ball ||z|| <= sqrt(r2_cap): the
+    centre plus n_restarts seeded points inside the ball and on its sphere
+    (for m = 1, on the interval), evaluated in one batch, then SLSQP with the
+    analytic gradient from the best four in each direction. Warns when no
+    polish converges in some direction; the region is then the widest found.
+    A singular Sigma raises DegenerateModelError.
     """
     if not (0.0 <= r2_cap <= 1.0):
         raise CalibrationError(f"r2_cap = {r2_cap:.6g} outside [0, 1]")
     _require_full_rank(cc)
     ev = _RrEvaluator(c, cc, bin_out, observed)
-    naive = ev.rr(np.zeros(cc.m))
+    naive = float(ev.rr(np.zeros(cc.m))[0])
     if r2_cap == 0.0:
         return IgnoranceRegion(naive, naive, naive, 0.0, True)
-    if cc.m == 1:
-        sig = float(cc.sigma_u_given_t[0, 0])
-        half = math.sqrt(r2_cap / sig)
-        (gmin, vmin), (gmax, vmax) = _extremes_1d(
-            lambda g: ev.rr(np.array([g])), -half, half
+    radius = math.sqrt(r2_cap)
+    (lower, _), (upper, _), stable = _ball_extremes(
+        ev, _restarts(cc.m, radius, n_restarts, seed), radius
+    )
+    if not stable:
+        warnings.warn(
+            "risk-ratio extremum search did not stabilize; reporting the "
+            "widest region found",
+            stacklevel=2,
         )
-        lower, upper = vmin, vmax
-    else:
-        root_inv = cc.roots.inv_root
+    return IgnoranceRegion(naive, min(lower, naive), max(upper, naive), float(r2_cap), True)
 
-        def rr_z(z):
-            return ev.rr(root_inv @ z)
 
-        (lower, _, ok_min), (upper, _, ok_max) = _extremes_ball(
-            rr_z, cc.m, math.sqrt(r2_cap), n_restarts, seed
-        )
-        if not (ok_min and ok_max):
-            warnings.warn(
-                "risk-ratio extremum search did not stabilize; reporting the "
-                "widest region found",
-                stacklevel=2,
-            )
-    lower = min(lower, naive)
-    upper = max(upper, naive)
-    return IgnoranceRegion(naive, lower, upper, float(r2_cap), True)
+def _first_crossings(ev: _RrEvaluator, ends: np.ndarray, sign: float) -> np.ndarray:
+    """Norm of the first point with rr = 1 on each segment [0, end], inf where
+    there is none: one batched scan of _RV_SCAN points per segment, then
+    brentq in the first bracket. sign is that of rr - 1 at the centre."""
+    s = np.linspace(0.0, 1.0, _RV_SCAN + 1)
+    pts = s[1:, None] * ends[:, None, :]
+    side = sign * (ev.rr(pts.reshape(-1, ends.shape[1])).reshape(len(ends), -1) - 1.0)
+    radii = np.full(len(ends), math.inf)
+    for i in np.flatnonzero((side <= 0.0).any(axis=1)):
+        j = int(np.argmax(side[i] <= 0.0))
+        u = brentq(lambda u, e=ends[i]: ev.rr(u * e)[0] - 1.0, s[j], s[j + 1], xtol=1e-15)
+        radii[i] = u * np.linalg.norm(ends[i])
+    return radii
 
 
 def binary_rv(
@@ -301,76 +266,40 @@ def binary_rv(
     seed: int = 0,
 ) -> RobustnessValue:
     """Smallest confounder R2 at which some admissible gamma drives the risk
-    ratio to 1; value 1 with robust=True when even R2 = 1 cannot. A
-    singular Sigma raises DegenerateModelError."""
+    ratio to 1, i.e. min ||z||^2 subject to rr(z) = 1 and ||z|| <= 1.
+
+    Value 1 with robust=True when the full-ball extremum on the far side of
+    the naive value does not reach 1. Otherwise SLSQP starts from the first
+    crossings of rr = 1 along the restart rays and that extremum's ray (one
+    batched scan plus brentq), and the value is the smallest squared radius
+    of a crossing found along a ray, so it is always attained. A singular
+    Sigma raises DegenerateModelError.
+    """
     ev = _RrEvaluator(c, cc, bin_out, observed)
-    naive = ev.rr(np.zeros(cc.m))
+    naive = float(ev.rr(np.zeros(cc.m))[0])
     if abs(naive - 1.0) < 1e-14:
         return RobustnessValue(0.0, False)
     _require_full_rank(cc)
-    if cc.m == 1:
-        return _binary_rv_1d(ev, cc, naive)
-    return _binary_rv_ball(ev, cc, naive, seed)
-
-
-def _binary_rv_1d(ev: _RrEvaluator, cc: ConditionalConfounder, naive: float) -> RobustnessValue:
-    """Roots of rr(gamma) = 1 over the full gamma interval; the smallest
-    gamma^2 Sigma among them is the robustness value."""
-    sig = float(cc.sigma_u_given_t[0, 0])
-    half = math.sqrt(1.0 / sig)
-
-    def f(g: float) -> float:
-        return ev.rr(np.array([g])) - 1.0
-
-    grid = np.linspace(-half, half, 2049)
-    vals = np.array([f(g) for g in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-13)))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
+    sign = 1.0 if naive > 1.0 else -1.0
+    points = _restarts(cc.m, 1.0, _RV_RESTARTS, seed)
+    lo, hi, _ = _ball_extremes(ev, points, 1.0)
+    v_ext, z_ext = lo if sign > 0 else hi
+    if sign * (v_ext - 1.0) > 0.0:
         return RobustnessValue(1.0, True)
-    g0 = min(roots, key=abs)
-    return RobustnessValue(min(g0 * g0 * sig, 1.0), False)
-
-
-def _binary_rv_ball(
-    ev: _RrEvaluator, cc: ConditionalConfounder, naive: float, seed: int
-) -> RobustnessValue:
-    """Bisection on the cap against the nested envelope of the region."""
-    root_inv = cc.roots.inv_root
-
-    def rr_z(z):
-        return ev.rr(root_inv @ z)
-
-    minimize = naive > 1.0
-    warm: list[np.ndarray] = []
-
-    def envelope(cap: float) -> float:
-        scaled = [w * (math.sqrt(cap) / max(np.linalg.norm(w), 1e-300)) for w in warm]
-        (vmin, zmin, _), (vmax, zmax, _) = _extremes_ball(
-            rr_z, cc.m, math.sqrt(cap), 80, seed, warm_starts=scaled
-        )
-        if minimize:
-            warm.append(zmin)
-            return vmin
-        warm.append(zmax)
-        return vmax
-
-    full = envelope(1.0)
-    if (minimize and full > 1.0) or (not minimize and full < 1.0):
-        return RobustnessValue(1.0, True)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        v = envelope(mid)
-        crossed = v <= 1.0 if minimize else v >= 1.0
-        if crossed:
-            hi = mid
-        else:
-            lo = mid
-    return RobustnessValue(hi, False)
+    ends = np.unique(np.vstack([z_ext, points[-_RV_RESTARTS:]]), axis=0)
+    radii = _first_crossings(ev, ends, sign)
+    seeds = [i for i in np.argsort(radii)[:_N_POLISH] if np.isfinite(radii[i])]
+    crossing = {"type": "eq", "fun": lambda z: ev.rr(z)[0] - 1.0,
+                "jac": lambda z: ev.rr_and_grad(z)[1]}
+    rays = []
+    for i in seeds:
+        z0 = ends[i] * (radii[i] / np.linalg.norm(ends[i]))
+        res = minimize(lambda z: (z @ z, 2.0 * z), z0, jac=True, method="SLSQP",
+                       constraints=[crossing, _ball(1.0)],
+                       options={"ftol": 1e-14, "maxiter": 200})
+        nrm = float(np.linalg.norm(res.x))
+        if nrm > 0.0:
+            rays.append(res.x / nrm)
+    if rays:
+        radii = np.concatenate([radii, _first_crossings(ev, np.array(rays), sign)])
+    return RobustnessValue(min(float(radii.min()) ** 2, 1.0), False)

@@ -274,9 +274,13 @@ def test_mcc_command(linear_models, tmp_path, capsys):
     assert lines[1].split("\t")[0] == "t1"
 
 
-def test_rr_command(tmp_path, capsys):
-    data_dir = tmp_path / "data"
-    models_dir = tmp_path / "models"
+@pytest.fixture(scope="module")
+def binary_models(tmp_path_factory):
+    """Simulated binary dataset plus fitted probit model files, shared
+    read-only."""
+    root = tmp_path_factory.mktemp("binary")
+    data_dir = root / "data"
+    models_dir = root / "models"
     assert (
         main(
             [
@@ -309,25 +313,32 @@ def test_rr_command(tmp_path, capsys):
             str(models_dir),
         ]
     )
-    capsys.readouterr()
     assert rc == 0
+    return {"csv": csv_path, "models": models_dir}
+
+
+def _rr_args(models, csv_path, out):
+    return [
+        "rr",
+        "--models",
+        str(models),
+        "--treatments",
+        str(csv_path),
+        "--outcome",
+        "y",
+        "--contrast",
+        "e1",
+        "--grid=-0.5:0.5:11",
+        "--out",
+        str(out),
+    ]
+
+
+def test_rr_command(binary_models, tmp_path, capsys):
+    capsys.readouterr()
     out = tmp_path / "rr.tsv"
     rc, _, err = _run(
-        [
-            "rr",
-            "--models",
-            str(models_dir),
-            "--treatments",
-            str(csv_path),
-            "--outcome",
-            "y",
-            "--contrast",
-            "e1",
-            "--grid=-0.5:0.5:11",
-            "--out",
-            str(out),
-        ],
-        capsys,
+        _rr_args(binary_models["models"], binary_models["csv"], out), capsys
     )
     assert rc == 0, err
     lines = [
@@ -338,6 +349,24 @@ def test_rr_command(tmp_path, capsys):
     values = [tuple(float(v) for v in l.split("\t")) for l in lines[1:]]
     assert all(rr > 0 and math.isfinite(rr) for _, rr in values)
     assert values[5][0] == 0.0
+
+
+def test_rr_treatments_missing_a_column_exit_2(binary_models, tmp_path, capsys):
+    # the model was fitted on t1..t4; this CSV drops t4 but keeps y
+    rows = [
+        l.split(",")
+        for l in binary_models["csv"].read_text().splitlines()
+        if l and not l.startswith("#")
+    ]
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(",".join(r[:3] + r[4:]) for r in rows) + "\n")
+    capsys.readouterr()
+    rc, _, err = _run(
+        _rr_args(binary_models["models"], short, tmp_path / "rr.tsv"), capsys
+    )
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "DimensionError"
 
 
 def test_proxy_command(tmp_path, capsys):

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from mtsens import (
@@ -10,6 +14,7 @@ from mtsens import (
     ConditionalConfounder,
     Contrast,
     DegenerateModelError,
+    DimensionError,
     SensitivitySpec,
     TreatmentMatrix,
     binary_rv,
@@ -19,6 +24,7 @@ from mtsens import (
     rr_ignorance_region,
     rr_single,
 )
+from mtsens.riskratio import _RrEvaluator
 
 CC_1D = ConditionalConfounder(
     coef=np.array([[1.0]]), sigma_u_given_t=np.array([[0.5]])
@@ -236,3 +242,141 @@ def test_binary_rv_robust_case():
     c = Contrast(np.array([1.0]), np.array([-1.0]))
     rv = binary_rv(c, CC_1D, bo, TWO_POINT)
     assert rv == (1.0, True)
+
+
+def test_wrong_dimensions_raise_dimension_error():
+    bo = _binout(0.8)
+    c = Contrast(np.array([1.0]), np.array([-1.0]))
+    wide = TreatmentMatrix(np.array([[1.0, 0.0], [-1.0, 0.5]]))
+    c2 = Contrast(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    bo2 = BinaryOutcome(probit_coef=np.array([0.8, 0.1]), probit_intercept=0.0, p_y1=0.5)
+    for contrast, observed, outcome in ((c, wide, bo), (c2, TWO_POINT, bo),
+                                        (c, TWO_POINT, bo2)):
+        with pytest.raises(DimensionError):
+            rr_curve(contrast, CC_1D, outcome, observed, np.array([1.0]), [0.5])
+        with pytest.raises(DimensionError):
+            rr_ignorance_region(contrast, CC_1D, outcome, observed, 0.5)
+        with pytest.raises(DimensionError):
+            binary_rv(contrast, CC_1D, outcome, observed)
+        with pytest.raises(DimensionError):
+            rr_contrast(contrast, _spec(0.3), CC_1D, outcome, observed)
+    with pytest.raises(DimensionError):
+        rr_single(np.array([1.0, 0.0]), _spec(0.3), CC_1D, bo, TWO_POINT)
+
+
+def _random_model(seed, m, k, n):
+    """coef m x k, n observed rows and Sigma with eigenvalues in (0.1, 0.9)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    sigma = (q * rng.uniform(0.1, 0.9, size=m)) @ q.T
+    cc = ConditionalConfounder(
+        coef=rng.normal(size=(m, k)), sigma_u_given_t=0.5 * (sigma + sigma.T)
+    )
+    observed = TreatmentMatrix(rng.normal(size=(n, k)))
+    bo = BinaryOutcome(
+        probit_coef=rng.normal(size=k),
+        probit_intercept=float(rng.normal(scale=0.5)),
+        p_y1=0.5,
+    )
+    return cc, observed, bo, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 4),
+    k=st.integers(1, 5),
+    n=st.integers(2, 50),
+)
+def test_evaluator_gradient_batch_and_gamma_coordinates(seed, m, k, n):
+    cc, observed, bo, rng = _random_model(seed, m, k, n)
+    c = Contrast(rng.normal(size=k), rng.normal(size=k))
+    ev = _RrEvaluator(c, cc, bo, observed)
+    z = rng.normal(size=(6, m))
+    z *= (rng.uniform(size=(6, 1)) / np.linalg.norm(z, axis=1, keepdims=True))
+    batch = ev.rr(z)
+    h = 1e-6
+    for zi, bi in zip(z, batch):
+        value, grad = ev.rr_and_grad(zi)
+        assert bi == pytest.approx(ev.rr(zi)[0], rel=1e-12)
+        assert bi == pytest.approx(value, rel=1e-12)
+        fd = np.array([(ev.rr(zi + h * e)[0] - ev.rr(zi - h * e)[0]) / (2 * h)
+                       for e in np.eye(m)])
+        assert np.linalg.norm(grad - fd) <= 1e-6 * (np.linalg.norm(grad) + value)
+        gamma = cc.roots.inv_root @ zi
+        spec = SensitivitySpec.from_gamma(gamma, cc.sigma_u_given_t)
+        assert rr_contrast(c, spec, cc, bo, observed) == pytest.approx(bi, rel=1e-12)
+
+
+# Seeds on which coordinate sweeps missed the polar-grid extremes and the
+# bisection overstated the robustness value.
+M2_SEEDS = (0, 2, 5)
+
+
+class _PolarOracle:
+    """rr on the whitened disc of a 2-d confounder, in gamma coordinates."""
+
+    def __init__(self, cc, observed, bo, c):
+        lam, vec = np.linalg.eigh(cc.sigma_u_given_t)
+        self.inv_root = (vec / np.sqrt(lam)) @ vec.T
+        self.s1 = (observed.data - c.t1) @ cc.coef.T
+        self.s2 = (observed.data - c.t2) @ cc.coef.T
+        self.e1 = bo.probit_intercept + c.t1 @ bo.probit_coef
+        self.e2 = bo.probit_intercept + c.t2 @ bo.probit_coef
+
+    def rr(self, z):
+        gamma = np.atleast_2d(z) @ self.inv_root
+        return (ndtr(self.e1 + self.s1 @ gamma.T).mean(0)
+                / ndtr(self.e2 + self.s2 @ gamma.T).mean(0))
+
+    def grid(self, radius, n=400):
+        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        r = np.linspace(0.0, radius, n)
+        return self.rr((r[:, None, None] * unit[None]).reshape(-1, 2))
+
+    def crossing(self, theta, naive_side):
+        """First radius in [0, 1] with rr = 1 along the ray at angle theta."""
+        u = np.array([np.cos(theta), np.sin(theta)])
+        r = np.linspace(0.0, 1.0, 400)
+        side = np.sign(self.rr(r[:, None] * u) - 1.0)
+        hit = np.flatnonzero(side[1:] != naive_side)
+        if hit.size == 0:
+            return math.inf
+        j = hit[0] + 1
+        return brentq(lambda x: self.rr(x * u)[0] - 1.0, r[j - 1], r[j], xtol=1e-15)
+
+    def rv(self):
+        """Smallest squared first-crossing radius over 400 angles, refined on
+        400 more angles around the best one."""
+        side = np.sign(self.rr(np.zeros(2))[0] - 1.0)
+        theta = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+        radii = np.array([self.crossing(t, side) for t in theta])
+        best = theta[np.argmin(radii)]
+        fine = np.linspace(best - theta[1], best + theta[1], 401)
+        return min(radii.min(), min(self.crossing(t, side) for t in fine)) ** 2
+
+
+@pytest.mark.parametrize("seed", M2_SEEDS)
+def test_rr_region_contains_polar_grid_m2(seed):
+    cc, observed, bo, _ = _random_model(seed, 2, 3, 60)
+    c = Contrast.unit(3, 0)
+    vals = _PolarOracle(cc, observed, bo, c).grid(math.sqrt(0.5))
+    region = rr_ignorance_region(c, cc, bo, observed, 0.5)
+    assert region.lower <= vals.min() * (1 + 1e-9)
+    assert region.upper >= vals.max() * (1 - 1e-9)
+    # every reported value is attained inside the ball
+    assert region.lower >= vals.min() * (1 - 1e-4)
+    assert region.upper <= vals.max() * (1 + 1e-4)
+
+
+@pytest.mark.parametrize("seed", M2_SEEDS)
+def test_binary_rv_matches_ray_oracle_m2(seed):
+    cc, observed, bo, _ = _random_model(seed, 2, 3, 60)
+    c = Contrast.unit(3, 0)
+    rv = binary_rv(c, cc, bo, observed)
+    assert not rv.robust
+    assert rv.value == pytest.approx(_PolarOracle(cc, observed, bo, c).rv(), abs=1e-6)
+    # at R2 = RV the region just reaches rr = 1
+    region = rr_ignorance_region(c, cc, bo, observed, rv.value)
+    assert region.contains(1.0) or min(abs(region.lower - 1), abs(region.upper - 1)) < 1e-9
