@@ -60,6 +60,13 @@ def _endpoint(t, name, cc, bin_out, observed, basis):
     return _linear_predictor(bin_out, t), (observed.data - t) @ (cc.coef.T @ basis)
 
 
+def _confounder_vector(v, what: str, cc: ConditionalConfounder) -> np.ndarray:
+    v = as_vector(v, what)
+    if v.shape[0] != cc.m:
+        raise DimensionError(f"{what} has dimension {v.shape[0]}, expected m = {cc.m}")
+    return v
+
+
 def rr_single(
     t,
     spec: SensitivitySpec,
@@ -68,8 +75,9 @@ def rr_single(
     observed: TreatmentMatrix,
 ) -> float:
     """P(Y=1 | do(T=t)) / P(Y=1) under the Gaussian-copula model."""
+    gamma = _confounder_vector(spec.gamma, "gamma", cc)
     eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m))
-    return float(np.mean(ndtr(eta + shift @ spec.gamma))) / bin_out.p_y1
+    return float(np.mean(ndtr(eta + shift @ gamma))) / bin_out.p_y1
 
 
 def rr_contrast(
@@ -81,7 +89,8 @@ def rr_contrast(
 ) -> float:
     """Risk ratio P(Y=1 | do(t1)) / P(Y=1 | do(t2)); the marginal p_y1
     cancels exactly."""
-    rr = float(_RrEvaluator(c, cc, bin_out, observed, np.eye(cc.m)).rr(spec.gamma)[0])
+    gamma = _confounder_vector(spec.gamma, "gamma", cc)
+    rr = float(_RrEvaluator(c, cc, bin_out, observed, np.eye(cc.m)).rr(gamma)[0])
     if math.isinf(rr):
         raise ZeroDivisionError("denominator intervention probability is zero")
     return rr
@@ -146,6 +155,7 @@ def rr_curve(
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
     grid = [float(s) for s in np.asarray(signed_r2_grid, dtype=float)]
+    direction = _confounder_vector(direction, "direction", cc)
     ev = _RrEvaluator(c, cc, bin_out, observed)
     specs = [gamma_from_signed_r2(s, direction, cc.sigma_u_given_t) for s in grid]
     z = np.array([math.sqrt(sp.r2) * sp.direction for sp in specs]).reshape(-1, cc.m)

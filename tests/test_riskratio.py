@@ -262,6 +262,14 @@ def test_wrong_dimensions_raise_dimension_error():
             rr_contrast(contrast, _spec(0.3), CC_1D, outcome, observed)
     with pytest.raises(DimensionError):
         rr_single(np.array([1.0, 0.0]), _spec(0.3), CC_1D, bo, TWO_POINT)
+    # a sensitivity vector or sweep direction of the wrong confounder dimension
+    spec2 = SensitivitySpec.from_gamma(np.array([0.1, 0.1]), 0.5 * np.eye(2))
+    with pytest.raises(DimensionError):
+        rr_single(np.array([1.0]), spec2, CC_1D, bo, TWO_POINT)
+    with pytest.raises(DimensionError):
+        rr_contrast(c, spec2, CC_1D, bo, TWO_POINT)
+    with pytest.raises(DimensionError):
+        rr_curve(c, CC_1D, bo, TWO_POINT, np.array([0.6, 0.8]), [0.5])
 
 
 def _random_model(seed, m, k, n):
