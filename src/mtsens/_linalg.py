@@ -65,7 +65,9 @@ class PsdRoots(NamedTuple):
 
     def leaves_row_space(self, v) -> bool:
         """Whether the vector v has a component outside the row space,
-        relative to the size of v."""
+        relative to the size of v. Never, when the matrix has full rank."""
+        if self.null.shape[1] == 0:
+            return False
         v = np.asarray(v, dtype=float)
         outside = np.linalg.norm(self.null.T @ v)
         return bool(outside > OUT_OF_ROW_SPACE_RTOL * max(np.linalg.norm(v), 1e-300))

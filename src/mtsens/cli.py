@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -19,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._linalg import as_vector, eigh_desc
+from ._linalg import as_vector
 from .bounds import ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
 from .copula import SensitivitySpec
@@ -28,6 +27,8 @@ from .factor import (
     ConditionalConfounder,
     Contrast,
     TreatmentMatrix,
+    _write_json,
+    _write_text,
     conditional_confounder,
     fit_ppca,
     load_confounder,
@@ -65,22 +66,25 @@ LINEAR_PRESET_GAMMA = np.array([2.8])
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
-    """Comma-separated, UTF-8, header row required, '.' decimal; leading
-    '#' lines (provenance) are skipped."""
+    """Comma-separated, UTF-8, header row required, '.' decimal, finite
+    numbers only; rows starting with '#' (provenance) and blank rows are
+    skipped. A '#' anywhere else is an error, never the start of a comment."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            lines = [ln for ln in fh if ln.rstrip("\r\n") and not ln.startswith("#")]
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise InputFormatError(f"{path} needs a header row and at least one data row")
-    names = [c.strip() for c in rows[0]]
+    names = [c.strip() for c in next(csv.reader(lines[:1]))]
     try:
-        data = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
-        raise InputFormatError(f"non-numeric value in {path}: {exc}") from exc
+        raise InputFormatError(f"malformed data in {path}: {exc}") from exc
     if data.shape[1] != len(names):
         raise InputFormatError(f"ragged rows in {path}")
+    if not np.isfinite(data).all():
+        raise InputFormatError(f"non-finite value in {path}")
     return names, data
 
 
@@ -114,57 +118,16 @@ def _split_outcome(names: list[str], data: np.ndarray, outcome: str):
     )
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _write_tsv(path, columns: list[str], rows, prov: dict) -> None:
-    fh, close = _open_out(path)
-    try:
-        for key, val in prov.items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
+    lines = [f"# {key}: {val}" for key, val in prov.items()] + ["\t".join(columns)]
+    lines += ("\t".join(_fmt(v) for v in row) for row in rows)
+    _write_text("\n".join(lines) + "\n", path)
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(float(v))
     return str(v)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isinf(f) or math.isnan(f) else f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _write_json(path, payload: dict, prov: dict) -> None:
-    doc = {"_provenance": prov, **_jsonable(payload)}
-    fh, close = _open_out(path)
-    try:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # ------------------------------------------------------------ flag parsing
@@ -260,9 +223,7 @@ def cmd_fit(args, prov: dict) -> int:
     save_confounder(cc, os.path.join(args.out_dir, "confounder.json"), prov)
     save_outcome(outcome, os.path.join(args.out_dir, "outcome.json"), prov)
 
-    centered = t_data - t_data.mean(axis=0)
-    lam, _ = eigh_desc(centered.T @ centered / t_data.shape[0])
-    spectrum = ", ".join(f"{v:.4g}" for v in lam[: min(10, lam.shape[0])])
+    spectrum = ", ".join(f"{v:.4g}" for v in fm.covariance_eigvals[:10])
     print(f"fitted factor model: m = {m}, k = {tm.k}, n = {tm.n}")
     print(f"sigma2_t_given_u = {fm.sigma2_t_given_u:.6g}")
     print(f"outcome ({args.outcome_kind}): {extra}")
@@ -294,7 +255,7 @@ def cmd_bounds(args, prov: dict) -> int:
                     "bounded": region.bounded,
                 }
             )
-    _write_json(args.out, {"results": records}, prov)
+    _write_json({"results": records}, args.out, prov)
     return 0
 
 
@@ -316,7 +277,7 @@ def cmd_rv(args, prov: dict) -> int:
         )
         flag = " (robust at any confounding level)" if rv.robust else ""
         print(f"{contrast_id}: naive = {naive:.6g}, RV = {100 * rv.value:.1f}%{flag}")
-    _write_json(args.out, {"results": records}, prov)
+    _write_json({"results": records}, args.out, prov)
     return 0
 
 
@@ -377,7 +338,7 @@ def cmd_mcc(args, prov: dict) -> int:
         "duality_gap": result.duality_gap,
         "gamma_star": result.gamma_star,
     }
-    _write_json(json_path, summary, prov)
+    _write_json(summary, json_path, prov)
     print(
         f"mcc {result.norm} at r2_cap={result.r2_cap:g}: "
         f"norm {naive_norm:.6g} -> {result.achieved_norm:.6g} "
@@ -450,7 +411,7 @@ def cmd_proxy(args, prov: dict) -> int:
             {"sigma_u2": v, "tau": tau_adjusted(fit, v)}
             for v in _parse_r2_list(args.sigma_u2)
         ]
-    _write_json(args.out, payload, prov)
+    _write_json(payload, args.out, prov)
     return 0
 
 
@@ -474,7 +435,7 @@ def _write_dataset(out_dir: str, stem: str, tm: TreatmentMatrix, y, truth, prov)
         "binary_y": truth.binary_y,
         "nonnull_mask": truth.nonnull_mask,
     }
-    _write_json(os.path.join(out_dir, f"{stem}_truth.json"), truth_payload, prov)
+    _write_json(truth_payload, os.path.join(out_dir, f"{stem}_truth.json"), prov)
     print(f"wrote {csv_path} and {stem}_truth.json")
 
 

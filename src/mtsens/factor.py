@@ -9,6 +9,8 @@ is what every downstream sensitivity computation consumes.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,6 +66,7 @@ class FactorModel:
     treatment noise variance, singular_values the m leading factor scales
     (d_i of B, descending).  treatment_means are the column means removed
     during fitting so raw treatment vectors can be used downstream.
+    covariance_eigvals, not serialized, is the fitted covariance's spectrum.
     """
 
     b_hat: np.ndarray
@@ -71,6 +74,7 @@ class FactorModel:
     m: int
     singular_values: np.ndarray
     treatment_means: np.ndarray = None
+    covariance_eigvals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.b_hat, dtype=float)
@@ -239,6 +243,7 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
         m=m,
         singular_values=d,
         treatment_means=treatment_means,
+        covariance_eigvals=lam,
     )
 
 
@@ -343,12 +348,44 @@ def mu_delta(cc: ConditionalConfounder, c: Contrast) -> np.ndarray:
     return cc.coef @ c.delta
 
 
-def _write_json(payload: dict, path, provenance: dict | None) -> None:
-    if provenance is not None:
-        payload = {"_provenance": provenance, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _finite_or_null(obj):
+    """obj in plain JSON types, with +-inf and NaN as None, in one walk
+    dispatched on type."""
+    t = type(obj)
+    if t is float:
+        return obj if math.isfinite(obj) else None
+    if t is dict:
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _finite_or_null(obj.tolist())
+    return obj
+
+
+def _write_json(payload: dict, path, provenance: dict | None = None) -> None:
+    """payload, after _provenance if given, through json's C encoder. Each
+    top-level key, and each element of a top-level list of records or rows,
+    gets its own line. +-inf and NaN become null; allow_nan=False rejects any
+    that the walk missed."""
+    doc = payload if provenance is None else {"_provenance": provenance, **payload}
+    dumps = json.JSONEncoder(allow_nan=False).encode
+    items = [
+        f"{dumps(key)}: [\n" + ",\n".join(map(dumps, value)) + "\n]"
+        if type(value) is list and value and type(value[0]) in (dict, list)
+        else f"{dumps(key)}: {dumps(value)}"
+        for key, value in _finite_or_null(doc).items()
+    ]
+    _write_text("{\n" + ",\n".join(items) + "\n}\n", path)
+
+
+def _write_text(text: str, path) -> None:
+    """text to the file at path, or to stdout when path is None or '-'."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _read_json(path, what: str) -> dict:

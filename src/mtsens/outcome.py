@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr_multiply, solve_triangular
 from scipy.stats import norm
 
 from .errors import (
@@ -122,19 +122,20 @@ class PolynomialMeanFn:
         return float(out[0]) if single else out
 
 
-def _check_design_rank(x: np.ndarray, names: list[str]) -> None:
-    """Raise SingularFitError naming dependent columns if x is rank deficient."""
-    _, r, piv = qr(x, mode="economic", pivoting=True)
+def _lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
+    """Least-squares coefficients of y on the columns of x from one pivoted
+    QR. Raises SingularFitError naming the dependent columns if x is rank
+    deficient: |R_ii| <= max|R_ii| * max(n, p) * eps."""
+    qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(x.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
+    rank = int(np.sum(diag > diag.max() * max(x.shape) * np.finfo(float).eps))
     if rank < x.shape[1]:
-        bad = sorted(piv[rank:])
-        labels = [names[i] for i in bad]
+        labels = [names[i] for i in sorted(piv[rank:])]
         raise SingularFitError(
             f"design matrix is rank deficient; dependent columns: {labels}",
             columns=labels,
         )
+    return solve_triangular(r, qty)[np.argsort(piv)]
 
 
 def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
@@ -146,8 +147,7 @@ def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
     x = np.column_stack([np.ones(n), treatments.data])
-    _check_design_rank(x, ["intercept"] + treatments.names())
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    beta = _lstsq(x, y, ["intercept"] + treatments.names())
     resid = y - x @ beta
     sigma2 = float(resid @ resid) / (n - k - 1)
     scale = max(float(np.var(y)), 1.0)
@@ -169,7 +169,7 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     vals = np.unique(y)
     if not np.all(np.isin(vals, (0.0, 1.0))) or vals.size != 2:
-        raise ValueError("probit outcome must be binary with both classes present")
+        raise InputFormatError("probit outcome must be binary with both classes present")
     x = np.column_stack([np.ones(n), treatments.data])
     beta = np.zeros(k + 1)
 
@@ -249,6 +249,8 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     if y.shape[0] != n:
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     if mean_fn is None:
+        if degree < 1:
+            raise InputFormatError(f"polynomial degree must be at least 1, got {degree}")
         k = treatments.k
         cols = [np.ones(n)] + [
             treatments.data[:, j] ** d for d in range(1, degree + 1) for j in range(k)

@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import as_vector
 from .bounds import IgnoranceRegion
 from .errors import DegenerateModelError, DimensionError, PositivityError
-from .outcome import _check_design_rank
+from .outcome import _lstsq
 
 DOMAIN_EPS = 1e-9
 
@@ -62,13 +62,11 @@ def fit_proxy(y, t, z) -> ProxyFit:
     z = (z - z.mean()) / z_sd
 
     design_t = np.column_stack([np.ones(n), z])
-    _check_design_rank(design_t, ["intercept", "z"])
-    coef_t, *_ = np.linalg.lstsq(design_t, t, rcond=None)
+    coef_t = _lstsq(design_t, t, ["intercept", "z"])
     resid_t = t - design_t @ coef_t
 
     design_y = np.column_stack([np.ones(n), t, z])
-    _check_design_rank(design_y, ["intercept", "t", "z"])
-    coef_y, *_ = np.linalg.lstsq(design_y, y, rcond=None)
+    coef_y = _lstsq(design_y, y, ["intercept", "t", "z"])
     resid_y = y - design_y @ coef_y
 
     return ProxyFit(

@@ -121,6 +121,20 @@ def test_fit_writes_model_files(linear_models, capsys):
     assert "_provenance" in doc
 
 
+def test_fit_prints_covariance_spectrum(linear_models, tmp_path, capsys):
+    rc, out, _ = _run(
+        ["fit", "--treatments", str(linear_models["csv"]), "--outcome", "y", "--m", "1",
+         "--out-dir", str(tmp_path / "m")],
+        capsys,
+    )
+    assert rc == 0
+    rows = [l for l in linear_models["csv"].read_text().splitlines() if not l.startswith("#")]
+    t = np.array([[float(v) for v in r.split(",")[:-1]] for r in rows[1:]])
+    lam = np.linalg.eigvalsh(np.cov(t.T, bias=True))[::-1]
+    expected = ", ".join(f"{v:.4g}" for v in lam[:10])
+    assert f"covariance eigenvalues: {expected}\n" in out
+
+
 def test_bounds_round_trip(linear_models, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     rc, _, err = _run(
@@ -422,6 +436,38 @@ def test_missing_outcome_column_exit_2(linear_models, capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "InputFormatError"
     assert "nosuch" in payload["message"]
+
+
+def _fit_exit_2_input_error(csv_path, out_dir, capsys, *extra):
+    rc, _, err = _run(
+        ["fit", "--treatments", str(csv_path), "--outcome", "y", "--m", "1",
+         "--out-dir", str(out_dir), *extra],
+        capsys,
+    )
+    assert rc == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "InputFormatError"
+
+
+def test_fit_nonfinite_cell_exit_2(linear_models, tmp_path, capsys):
+    lines = linear_models["csv"].read_text().splitlines()
+    row = len(lines) - 3
+    lines[row] = "nan," + lines[row].split(",", 1)[1]
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    _fit_exit_2_input_error(bad, tmp_path / "m", capsys)
+
+
+def test_fit_probit_non_binary_outcome_exit_2(linear_models, tmp_path, capsys):
+    _fit_exit_2_input_error(
+        linear_models["csv"], tmp_path / "m", capsys, "--outcome-kind", "probit"
+    )
+
+
+def test_fit_empirical_degree_zero_exit_2(linear_models, tmp_path, capsys):
+    _fit_exit_2_input_error(
+        linear_models["csv"], tmp_path / "m", capsys,
+        "--outcome-kind", "empirical", "--degree", "0",
+    )
 
 
 def test_missing_models_dir_exit_2(tmp_path, capsys):

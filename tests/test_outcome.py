@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import qr
 from scipy.stats import norm
 
 from mtsens import (
@@ -16,6 +17,7 @@ from mtsens import (
     fit_empirical,
     fit_linear,
     fit_probit,
+    fit_proxy,
     gen_linear_gaussian,
     load_outcome,
     naive_closed_form,
@@ -203,3 +205,86 @@ def test_polynomial_mean_fn_layout():
     )
     t = np.array([3.0, 2.0])
     assert fn(t) == pytest.approx(1.0 + 6.0 + 0.5 * 9 - 4.0, abs=1e-12)
+
+
+# ------------------------------------------------ least squares by one QR
+
+
+def _rank_check_names(x, names):
+    """Reference: the dependent columns the separate pivoted-QR rank check
+    named before the fits solved from that same QR."""
+    _, r, piv = qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag.max() * max(x.shape) * np.finfo(float).eps))
+    return [names[i] for i in sorted(piv[rank:])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, k, spread", [(30, 3, 1.0), (200, 40, 1.0), (80, 6, 1e4)])
+def test_fit_linear_matches_lstsq(seed, n, k, spread):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, k)) * np.logspace(0, np.log10(spread), k) + rng.normal(size=k)
+    y = data @ rng.normal(size=k) + rng.normal(size=n)
+    out = fit_linear(TreatmentMatrix(data), y)
+    x = np.column_stack([np.ones(n), data])
+    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    got = np.concatenate([[out.intercept], out.tau_naive])
+    assert np.linalg.norm(got - beta) <= 1e-10 * np.linalg.norm(beta)
+    resid = y - x @ beta
+    assert out.sigma2_y_given_t == pytest.approx(resid @ resid / (n - k - 1), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["duplicate", "constant", "sum"])
+def test_fit_linear_singular_names_same_columns(case):
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(50, 4))
+    if case == "duplicate":
+        data[:, 3] = data[:, 1]
+    elif case == "constant":
+        data[:, 2] = 3.0
+    else:
+        data[:, 0] = data[:, 1] + 2.0 * data[:, 3]
+    tm = TreatmentMatrix(data)
+    expected = _rank_check_names(
+        np.column_stack([np.ones(50), data]), ["intercept"] + tm.names()
+    )
+    with pytest.raises(SingularFitError) as exc:
+        fit_linear(tm, rng.normal(size=50))
+    assert expected and exc.value.columns == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_proxy_matches_lstsq(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    u = rng.normal(size=n)
+    z = 2.0 + 3.0 * (u + rng.normal(size=n))
+    t = 0.7 * u + rng.normal(size=n)
+    y = 0.4 * t + 1.1 * u + rng.normal(size=n)
+    fit = fit_proxy(y, t, z)
+    zs = (z - z.mean()) / np.std(z)
+    design_t = np.column_stack([np.ones(n), zs])
+    design_y = np.column_stack([np.ones(n), t, zs])
+    coef_t, *_ = np.linalg.lstsq(design_t, t, rcond=None)
+    coef_y, *_ = np.linalg.lstsq(design_y, y, rcond=None)
+    assert fit.tilde_beta == pytest.approx(coef_t[1], rel=1e-10)
+    assert fit.tilde_tau == pytest.approx(coef_y[1], rel=1e-10)
+    assert fit.tilde_gamma == pytest.approx(coef_y[2], rel=1e-10)
+    resid_t = t - design_t @ coef_t
+    resid_y = y - design_y @ coef_y
+    assert fit.sigma2_t_given_z == pytest.approx(np.mean(resid_t**2), rel=1e-10)
+    assert fit.sigma2_y_given_tz == pytest.approx(np.mean(resid_y**2), rel=1e-10)
+
+
+def test_fit_proxy_collinear_treatment_names_same_columns():
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=40)
+    t = 1.0 + 2.0 * z
+    zs = (z - z.mean()) / np.std(z)
+    expected = _rank_check_names(
+        np.column_stack([np.ones(40), t, zs]), ["intercept", "t", "z"]
+    )
+    with pytest.raises(SingularFitError) as exc:
+        fit_proxy(rng.normal(size=40), t, z)
+    assert expected and exc.value.columns == expected
+
