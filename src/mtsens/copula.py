@@ -15,16 +15,22 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from ._linalg import as_vector, psd_roots
-from .errors import CalibrationError, DegenerateModelError, DimensionError, InvalidCopulaError
+from .errors import (
+    CalibrationError,
+    DegenerateModelError,
+    DimensionError,
+    InputFormatError,
+    InvalidCopulaError,
+)
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
-from .outcome import conditional_cdf_quantile
+from .outcome import GaussianOutcome, conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
-# (row, draw) pairs per block of the importance sampler
+# (row, draw) pairs per block of the Monte Carlo estimators
 _BLOCK_PAIRS = 4096
 
 
@@ -181,12 +187,15 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     gamma = as_vector(gamma, "gamma")
     sigma = np.asarray(sigma_u_given_t, dtype=float)
     _copula_correlation(gamma, sigma)
-    p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != sigma.shape[0]:
         raise DimensionError("q must have m entries in its last axis")
-    z_y = norm.ppf(p)
-    z_u = norm.ppf(q)
+    return _gaussian_density(gamma, sigma, ndtri(np.asarray(p, dtype=float)), q)
+
+
+def _gaussian_density(gamma, sigma, z_y, q):
+    """gaussian_copula_density at z_y = Phi^{-1}(p), without the checks."""
+    z_u = ndtri(q)
     # ytilde | u is Gaussian with mean gamma'(u - mu_{u|t}) and variance
     # 1 - gamma' Sigma gamma; u - mu recovered from q through the U margins
     sd_u = np.sqrt(np.diag(sigma))
@@ -217,10 +226,20 @@ def _warn_clamped(clamped: int, size: int, stacklevel: int) -> None:
         )
 
 
-def _clamped_phi(ytilde: np.ndarray) -> np.ndarray:
-    u = norm.cdf(ytilde)
-    _warn_clamped(_clamp_count(u), u.size, stacklevel=3)
-    return np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP)
+def _from_gaussian(outcome, t):
+    """Map standardized Gaussian values to Y | T=t and count the clamped CDF
+    values: mu_t + sigma ytilde exactly for a Gaussian outcome, else the
+    quantile at the clamped Phi(ytilde)."""
+    if isinstance(outcome, GaussianOutcome):
+        mu, sd = float(outcome.mean(t)), outcome.sigma()
+        return lambda ytilde: (mu + sd * ytilde, 0)
+    _, quantile = conditional_cdf_quantile(outcome, t)
+
+    def to_y(ytilde):
+        u = ndtr(ytilde)
+        return quantile(np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP)), _clamp_count(u)
+
+    return to_y
 
 
 def _select_rows(observed: TreatmentMatrix, max_rows, rng) -> np.ndarray:
@@ -229,6 +248,43 @@ def _select_rows(observed: TreatmentMatrix, max_rows, rng) -> np.ndarray:
         idx = rng.choice(observed.n, size=max_rows, replace=False)
         data = data[np.sort(idx)]
     return data
+
+
+def _gaussian_means(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
+    """One MonteCarloMean of E[v(Y) | do(T=t)] per point t of ts, all from the
+    same draws. Blocks of whole rows draw z in row order, the same stream as
+    one (row, draw) array, so scratch memory is n_sim x block for any n."""
+    if n_sim < 1:
+        raise InputFormatError("n_sim must be at least 1")
+    ts = [as_vector(t, "t") for t in ts]
+    for t in ts:
+        if t.shape[0] != cc.k:
+            raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = _select_rows(observed, max_rows, rng)
+    n = rows.shape[0]
+    # the row mean shift is base_i - gamma' coef t; the centering means cancel
+    g = cc.coef.T @ spec.gamma
+    base = rows @ g
+    points = [(float(t @ g), _from_gaussian(outcome, t)) for t in ts]
+    # per point: sum of v(y) and sum of the per-row variances
+    sums = np.zeros((len(ts), 2))
+    clamped = 0
+    step = max(1, _BLOCK_PAIRS // n_sim)
+    for start in range(0, n, step):
+        shift = base[start:start + step, None]
+        z = rng.standard_normal(size=(shift.shape[0], n_sim))
+        for acc, (offset, to_y) in zip(sums, points):
+            y, c = to_y(shift - offset + z)
+            clamped += c
+            vals = y if v is None else np.asarray(v(y), dtype=float)
+            acc[0] += vals.sum()
+            if n_sim > 1:
+                acc[1] += np.var(vals, axis=1, ddof=1).sum()
+    _warn_clamped(clamped, len(ts) * n * n_sim, stacklevel=3)
+    se = np.sqrt(sums[:, 1] / n_sim) / n if n_sim > 1 else np.full(len(ts), np.nan)
+    return [MonteCarloMean(value=float(s / (n * n_sim)), se=float(e), n_rows=n)
+            for s, e in zip(sums[:, 0], se)]
 
 
 def intervention_mean_gaussian(
@@ -248,34 +304,12 @@ def intervention_mean_gaussian(
     For each observed row t_i the Gaussianized outcome under do(t) given
     that row's confounder distribution is N(gamma'(mu_{u|t_i} - mu_{u|t}), 1)
     (the unit variance comes from the standardized-scale constraint), so the
-    estimator shifts, maps through the conditional quantile at t, and
-    averages. Deterministic given seed; the draw layout is indexed by
-    (row, draw), independent of any scheduling.
+    estimator shifts, maps to Y | T=t (see _from_gaussian), and averages.
+    Deterministic given seed; the draw layout is indexed by (row, draw),
+    independent of any scheduling and of the block size.
     """
-    if n_sim < 1:
-        raise ValueError("n_sim must be at least 1")
-    t = as_vector(t, "t")
-    if t.shape[0] != cc.k:
-        raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    rows = _select_rows(observed, max_rows, rng)
-    # mean shift per row: gamma' coef (t_i - t); the centering means cancel
-    shifts = (rows - t) @ (cc.coef.T @ spec.gamma)
-    z = rng.standard_normal(size=(rows.shape[0], n_sim))
-    ytilde = shifts[:, None] + z
-    _, quantile = conditional_cdf_quantile(outcome, t)
-    y = quantile(_clamped_phi(ytilde))
-    vals = y if v is None else np.asarray(v(y), dtype=float)
-    value = float(np.mean(vals))
-    if not with_se:
-        return value
-    n_rows = rows.shape[0]
-    if n_sim > 1:
-        row_var = np.var(vals, axis=1, ddof=1)
-        se = float(np.sqrt(np.sum(row_var) / n_sim) / n_rows)
-    else:
-        se = float("nan")
-    return MonteCarloMean(value=value, se=se, n_rows=n_rows)
+    (res,) = _gaussian_means([t], spec, cc, outcome, observed, v, n_sim, seed, max_rows)
+    return res if with_se else res.value
 
 
 def marginal_contrast(
@@ -293,27 +327,23 @@ def marginal_contrast(
 ):
     """Contrast of two intervention means (difference for PATE, ratio for RR).
 
-    The same seed drives both intervention means, so identical endpoints
-    cancel exactly.
+    Both intervention means come from one set of draws, so identical
+    endpoints cancel exactly, and each equals intervention_mean_gaussian at
+    the same seed.
     """
-    kwargs = dict(n_sim=n_sim, seed=seed, max_rows=max_rows, with_se=True)
-    m1 = intervention_mean_gaussian(c.t1, spec, cc, outcome, observed, v, **kwargs)
-    m2 = intervention_mean_gaussian(c.t2, spec, cc, outcome, observed, v, **kwargs)
+    if tau_fn not in ("difference", "ratio"):
+        raise InputFormatError(f"unknown tau_fn {tau_fn!r}")
+    m1, m2 = _gaussian_means([c.t1, c.t2], spec, cc, outcome, observed, v, n_sim, seed,
+                             max_rows)
     if tau_fn == "difference":
         value = m1.value - m2.value
         se = float(np.hypot(m1.se, m2.se))
-    elif tau_fn == "ratio":
-        if abs(m2.value) < 1e-12:
-            raise ZeroDivisionError(
-                "ratio contrast denominator is numerically zero"
-            )
-        value = m1.value / m2.value
-        rel = np.hypot(
-            m1.se / m1.value if m1.value != 0 else 0.0, m2.se / m2.value
-        )
-        se = float(abs(value) * rel)
     else:
-        raise ValueError(f"unknown tau_fn {tau_fn!r}")
+        if abs(m2.value) < 1e-12:
+            raise ZeroDivisionError("ratio contrast denominator is numerically zero")
+        value = m1.value / m2.value
+        rel = np.hypot(m1.se / m1.value if m1.value != 0 else 0.0, m2.se / m2.value)
+        se = float(abs(value) * rel)
     if with_se:
         return MonteCarloMean(value=value, se=se, n_rows=m1.n_rows)
     return value
@@ -341,7 +371,7 @@ def intervention_mean_general(
     number of rows. A custom density is called once per block.
     """
     if m_draws < 1 or n_draws < 1:
-        raise ValueError("m_draws and n_draws must be at least 1")
+        raise InputFormatError("m_draws and n_draws must be at least 1")
     t = as_vector(t, "t")
     if t.shape[0] != cc.k:
         raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
@@ -364,6 +394,9 @@ def intervention_mean_general(
     # margins of U | t at the intervention point
     mu_t = cc.mu_u_given_t(t)
     sd_t = np.sqrt(np.diag(sigma))
+    if copula.kind == "gaussian":
+        _copula_correlation(copula.gamma, sigma)
+        z_p = ndtri(p)[:, None]
 
     # blocks of whole rows draw zu in row order: the same stream as one draw
     step = max(1, _BLOCK_PAIRS // n_draws)
@@ -373,11 +406,11 @@ def intervention_mean_general(
         block = rows[start:start + step]
         zu = rng.standard_normal(size=(block.shape[0], n_draws, m))
         u = cc.mu_u_given_t(block)[:, None, :] + zu @ root.T
-        q = norm.cdf((u.reshape(-1, m) - mu_t) / sd_t)
+        q = ndtr((u.reshape(-1, m) - mu_t) / sd_t)
         clamped += _clamp_count(q)
         q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
         if copula.kind == "gaussian":
-            cvals = gaussian_copula_density(copula.gamma, sigma, p[:, None], q[None])
+            cvals = _gaussian_density(copula.gamma, sigma, z_p, q[None])
         else:
             cvals = np.asarray(
                 copula.density(np.repeat(p, q.shape[0]), np.tile(q, (m_draws, 1))),
@@ -408,10 +441,12 @@ def gaussianize(outcome, t, y):
             "gaussianization",
             stacklevel=2,
         )
-    return norm.ppf(np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP))
+    return ndtri(np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP))
 
 
 def degaussianize(outcome, t, ytilde):
     """Inverse of gaussianize: map standardized Gaussian values back."""
-    _, quantile = conditional_cdf_quantile(outcome, t)
-    return quantile(_clamped_phi(np.asarray(ytilde, dtype=float)))
+    ytilde = np.asarray(ytilde, dtype=float)
+    y, clamped = _from_gaussian(outcome, t)(ytilde)
+    _warn_clamped(clamped, ytilde.size, stacklevel=2)
+    return y

@@ -251,13 +251,10 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     if mean_fn is None:
         if degree < 1:
             raise InputFormatError(f"polynomial degree must be at least 1, got {degree}")
-        k = treatments.k
-        cols = [np.ones(n)] + [
-            treatments.data[:, j] ** d for d in range(1, degree + 1) for j in range(k)
-        ]
-        x = np.column_stack(cols)
+        t = treatments.data
+        x = np.hstack([np.ones((n, 1)), t] + [t**d for d in range(2, degree + 1)])
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        coef = beta[1:].reshape(degree, k).T
+        coef = beta[1:].reshape(degree, treatments.k).T
         mean_fn = PolynomialMeanFn(degree=degree, intercept=float(beta[0]), coef=coef)
     fitted = np.asarray(mean_fn(treatments.data), dtype=float).reshape(-1)
     resid = y - fitted

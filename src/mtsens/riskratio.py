@@ -154,12 +154,19 @@ def rr_curve(
     gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
-    grid = [float(s) for s in np.asarray(signed_r2_grid, dtype=float)]
+    grid = np.asarray(signed_r2_grid, dtype=float)
     direction = _confounder_vector(direction, "direction", cc)
     ev = _RrEvaluator(c, cc, bin_out, observed)
-    specs = [gamma_from_signed_r2(s, direction, cc.sigma_u_given_t) for s in grid]
-    z = np.array([math.sqrt(sp.r2) * sp.direction for sp in specs]).reshape(-1, cc.m)
-    return list(zip(grid, ev.rr(z).tolist()))
+    mag = np.abs(grid)
+    nonzero = np.flatnonzero(mag)
+    if nonzero.size:
+        # the first error a per-point check would raise: a bad direction or
+        # range at the first nonzero point, else the range at the largest
+        for i in (nonzero[0], np.argmax(mag)):
+            gamma_from_signed_r2(grid[i], direction, cc.sigma_u_given_t)
+    sign = np.where(grid >= 0, 1.0, -1.0)[:, None]
+    z = np.sqrt(np.minimum(mag, 1.0))[:, None] * (sign * direction)
+    return list(zip(grid.tolist(), ev.rr(z).tolist()))
 
 
 def _restarts(m: int, radius: float, n_restarts: int, seed: int) -> np.ndarray:

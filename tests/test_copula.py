@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from mtsens import (
+    BinaryOutcome,
     CalibrationError,
     ConditionalConfounder,
     Contrast,
     CopulaSpec,
     DegenerateModelError,
     DimensionError,
+    EmpiricalOutcome,
     FactorModel,
     GaussianOutcome,
+    InputFormatError,
     InvalidCopulaError,
     SensitivitySpec,
     TreatmentMatrix,
@@ -246,6 +249,105 @@ def test_marginal_contrast_true_gamma_recovers_pate():
     assert abs(res.value - 1.0) <= 3 * res.se
 
 
+@pytest.mark.parametrize("tau_fn", ["difference", "ratio"])
+def test_marginal_contrast_equals_single_intervention_means(tau_fn):
+    _, data, cc, outcome = _linear_setup(seed=8)
+    spec = SensitivitySpec.from_r2_direction(0.6, np.array([1.0]), cc.sigma_u_given_t)
+    c = Contrast(np.array([1.0, 0.5, 0.0, -0.5]), np.zeros(4))
+    kwargs = dict(n_sim=50, seed=31, max_rows=250, with_se=True)
+    res = marginal_contrast(c, spec, cc, outcome, data.treatments, tau_fn=tau_fn, **kwargs)
+    a = intervention_mean_gaussian(c.t1, spec, cc, outcome, data.treatments, **kwargs)
+    b = intervention_mean_gaussian(c.t2, spec, cc, outcome, data.treatments, **kwargs)
+    if tau_fn == "difference":
+        assert res.value == a.value - b.value
+        assert res.se == float(np.hypot(a.se, b.se))
+    else:
+        assert res.value == a.value / b.value
+        assert res.se == float(abs(res.value) * np.hypot(a.se / a.value, b.se / b.value))
+    assert res.n_rows == a.n_rows == 250
+
+
+def test_gaussian_outcome_far_from_the_rows_is_not_clamped():
+    # every row's shift is about -12 here, beyond the |ytilde| <= 7.94 that
+    # a Phi -> Phi^{-1} round trip keeps
+    _, data, cc, outcome = _linear_setup(seed=1)
+    spec = SensitivitySpec.from_r2_direction(0.5, np.array([1.0]), cc.sigma_u_given_t)
+    t = np.array([20.0, 0.0, 0.0, 0.0])
+    mu_rows = cc.mu_u_given_t(data.treatments.data)
+    closed = outcome.mean(t) - outcome.sigma() * float(
+        spec.gamma @ (cc.mu_u_given_t(t) - mu_rows.mean(axis=0))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = intervention_mean_gaussian(
+            t, spec, cc, outcome, data.treatments, n_sim=400, seed=5, with_se=True
+        )
+    assert abs(res.value - closed) <= 3 * res.se
+
+
+def test_marginal_contrast_warns_once_on_clamped_draws(monkeypatch):
+    _, data, cc, outcome = _linear_setup(n=100, seed=14)
+    emp = EmpiricalOutcome(
+        mean_fn=outcome.mean,
+        residual_quantiles=np.random.default_rng(0).normal(size=50),
+        sigma2_y_given_t=1.0,
+    )
+    spec = SensitivitySpec.from_r2_direction(0.5, np.array([1.0]), cc.sigma_u_given_t)
+    # several blocks and two endpoints, so the count must add up over all
+    monkeypatch.setattr(copula_module, "_BLOCK_PAIRS", 8)
+    # every draw at t1 lies about 24 standard deviations below 0; none at t2
+    c = Contrast(np.array([40.0, 0.0, 0.0, 0.0]), np.zeros(4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        marginal_contrast(c, spec, cc, emp, data.treatments, n_sim=4, seed=3)
+    messages = [str(w.message) for w in caught]
+    assert messages == ["400 of 800 copula draws hit the CDF clamping bounds; "
+                        "tail behavior may be distorted"]
+    assert caught[0].filename == __file__
+
+
+def test_gaussian_path_memory_independent_of_rows():
+    rng = np.random.default_rng(2)
+    cc = ConditionalConfounder(
+        coef=rng.normal(size=(3, 5)), sigma_u_given_t=np.eye(3), treatment_means=np.zeros(5)
+    )
+    outcome = GaussianOutcome(tau_naive=np.ones(5), intercept=0.0, sigma2_y_given_t=1.0)
+    spec = SensitivitySpec.from_r2_direction(0.3, np.array([1.0, 0.0, 0.0]), np.eye(3))
+    observed = TreatmentMatrix(rng.normal(size=(20000, 5)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        marginal_contrast(
+            Contrast.unit(5, 0), spec, cc, outcome, observed, n_sim=200, seed=1, with_se=True
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_mc_sizes_and_tau_fn_are_typed_errors():
+    _, data, cc, outcome = _linear_setup(n=50, seed=9)
+    spec = SensitivitySpec.from_gamma(np.zeros(1), cc.sigma_u_given_t)
+    c = Contrast.unit(4, 0)
+    with pytest.raises(InputFormatError, match="n_sim"):
+        intervention_mean_gaussian(c.t1, spec, cc, outcome, data.treatments, n_sim=0)
+    with pytest.raises(InputFormatError, match="n_sim"):
+        marginal_contrast(c, spec, cc, outcome, data.treatments, n_sim=0)
+    with pytest.raises(InputFormatError, match="tau_fn"):
+        marginal_contrast(c, spec, cc, outcome, data.treatments, tau_fn="odds")
+
+
+def test_general_draw_counts_are_typed_errors():
+    _, data, cc, outcome = _linear_setup(n=50, seed=9)
+    copula = CopulaSpec("gaussian", gamma=np.zeros(1))
+    for kwargs in (dict(m_draws=0), dict(n_draws=0)):
+        with pytest.raises(InputFormatError, match="m_draws and n_draws"):
+            intervention_mean_general(
+                np.zeros(4), copula, cc, outcome, data.treatments, **kwargs
+            )
+
+
 def test_general_estimator_independence_copula():
     _, data, cc, outcome = _linear_setup(n=300, seed=8)
     copula = CopulaSpec("gaussian", gamma=np.zeros(1))
@@ -417,6 +519,72 @@ def test_blocked_general_estimator_equals_unblocked(
                 seed=seed,
             )
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _gaussian_reference(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
+    """The Gaussian-copula estimator on one (row, draw) array per point,
+    with the quantile of the clamped Phi(ytilde) for a non-Gaussian outcome."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rows = copula_module._select_rows(observed, max_rows, rng)
+    n = rows.shape[0]
+    z = rng.standard_normal(size=(n, n_sim))
+    out = []
+    for t in ts:
+        ytilde = ((rows - t) @ (cc.coef.T @ spec.gamma))[:, None] + z
+        if isinstance(outcome, GaussianOutcome):
+            y = outcome.mean(t) + outcome.sigma() * ytilde
+        else:
+            u = np.clip(norm.cdf(ytilde), CDF_CLAMP, 1 - CDF_CLAMP)
+            y = conditional_cdf_quantile(outcome, t)[1](u)
+        vals = y if v is None else v(y)
+        se = (
+            np.sqrt(np.sum(np.var(vals, axis=1, ddof=1)) / n_sim) / n
+            if n_sim > 1 else math.nan
+        )
+        out.append((float(np.mean(vals)), float(se)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(1, 3),
+    kind=st.sampled_from(["gaussian", "empirical", "binary"]),
+    n_sim=st.sampled_from([1, 2, 17, 200]),
+    max_rows=st.one_of(st.none(), st.integers(1, 40)),
+    block=st.sampled_from([1, 7, 64, 4096]),
+)
+def test_blocked_gaussian_path_equals_unblocked(seed, n, m, kind, n_sim, max_rows, block):
+    cc, outcome, spec, observed, t = _random_model(seed, n, 3, m)
+    rng = np.random.default_rng(seed)
+    v = None
+    if kind == "empirical":
+        tau = outcome.tau_naive
+        outcome = EmpiricalOutcome(
+            mean_fn=lambda x: 3.0 + np.asarray(x) @ tau,
+            residual_quantiles=rng.standard_t(4, size=30),
+            sigma2_y_given_t=1.0,
+        )
+    elif kind == "binary":
+        outcome = BinaryOutcome(
+            probit_coef=0.5 * outcome.tau_naive, probit_intercept=0.2, p_y1=0.5
+        )
+        def v(y):
+            return (y < 0.5).astype(float)
+    ts = [t, np.zeros(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = _gaussian_reference(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copula_module, "_BLOCK_PAIRS", block)
+            got = copula_module._gaussian_means(
+                ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows
+            )
+    for res, (value, se) in zip(got, expected):
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert res.se == pytest.approx(se, rel=1e-12, abs=1e-12, nan_ok=True)
+        assert res.n_rows == min(n, max_rows or n)
 
 
 def test_general_estimator_memory_independent_of_rows():

@@ -15,6 +15,7 @@ from mtsens import (
     Contrast,
     DegenerateModelError,
     DimensionError,
+    MtsensError,
     SensitivitySpec,
     TreatmentMatrix,
     binary_rv,
@@ -24,6 +25,7 @@ from mtsens import (
     rr_ignorance_region,
     rr_single,
 )
+from mtsens.calibrate import gamma_from_signed_r2
 from mtsens.riskratio import _RrEvaluator
 
 CC_1D = ConditionalConfounder(
@@ -208,6 +210,56 @@ def test_singular_sigma_is_refused_by_the_searches():
         rr_ignorance_region(c1, cc0, _binout(0.8), TWO_POINT, 0.5)
     with pytest.raises(DegenerateModelError):
         binary_rv(c1, cc0, _binout(0.8), TWO_POINT)
+
+
+def _rr_curve_per_point(c, cc, bo, observed, direction, grid):
+    """rr_curve through one gamma_from_signed_r2 spec per grid point."""
+    specs = [gamma_from_signed_r2(s, direction, cc.sigma_u_given_t) for s in grid]
+    z = np.array([math.sqrt(sp.r2) * sp.direction for sp in specs])
+    return list(zip(grid, _RrEvaluator(c, cc, bo, observed).rr(z).tolist()))
+
+
+def _raised(fn):
+    try:
+        fn()
+    except MtsensError as exc:
+        return type(exc)
+    return None
+
+
+def test_rr_curve_equals_per_point_specs():
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(3, 3))
+    cc = ConditionalConfounder(
+        coef=rng.normal(size=(3, 6)), sigma_u_given_t=a @ a.T + 0.3 * np.eye(3)
+    )
+    observed = TreatmentMatrix(rng.normal(size=(80, 6)))
+    bo = BinaryOutcome(probit_coef=0.4 * rng.normal(size=6), probit_intercept=0.1, p_y1=0.5)
+    c = Contrast(rng.normal(size=6), np.zeros(6))
+    d = rng.normal(size=3)
+    d /= np.linalg.norm(d)
+    grid = np.linspace(-1.0, 1.0, 201).tolist()
+    assert rr_curve(c, cc, bo, observed, d) == _rr_curve_per_point(c, cc, bo, observed, d, grid)
+    grid = [0.0, -0.0, 0.3, -1.0 - 1e-10, 1.0]
+    assert rr_curve(c, cc, bo, observed, d, grid) == _rr_curve_per_point(
+        c, cc, bo, observed, d, grid
+    )
+    # the same error as the per-point loop raises first
+    singular = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([1.0, 0.0]))
+    obs2 = TreatmentMatrix(rng.normal(size=(30, 2)))
+    bo2 = BinaryOutcome(probit_coef=np.array([0.5, 0.8]), probit_intercept=0.0, p_y1=0.5)
+    c2 = Contrast(np.array([0.0, 1.0]), np.zeros(2))
+    cases = [
+        (cc, observed, bo, c, d, [0.2, 1.5, -0.4], CalibrationError),
+        (cc, observed, bo, c, 1.1 * d, [0.0, -0.5], CalibrationError),
+        (singular, obs2, bo2, c2, np.array([0.0, 1.0]), [0.0, 0.5], DegenerateModelError),
+        (singular, obs2, bo2, c2, np.array([0.0, 1.0]), [0.5, 2.0], DegenerateModelError),
+        (singular, obs2, bo2, c2, np.array([0.0, 1.0]), [2.0, 0.5], CalibrationError),
+        (singular, obs2, bo2, c2, np.array([0.0, 1.0]), [0.0, 0.0], None),
+    ]
+    for cc_i, obs_i, bo_i, c_i, d_i, grid, expected in cases:
+        assert _raised(lambda: _rr_curve_per_point(c_i, cc_i, bo_i, obs_i, d_i, grid)) is expected
+        assert _raised(lambda: rr_curve(c_i, cc_i, bo_i, obs_i, d_i, grid)) is expected
 
 
 def test_rr_region_cap_validation():
