@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InputFormatError
 
 # Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
@@ -25,7 +25,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         v = v.reshape(-1)
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InputFormatError(f"{name} contains non-finite entries")
     return v
 
 

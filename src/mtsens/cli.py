@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -19,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from ._linalg import as_vector
-from .bounds import ignorance_region, robustness_value
+from .bounds import _check_r2, ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
 from .copula import SensitivitySpec
-from .errors import ConvergenceError, InputFormatError, MtsensError
+from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
 from .factor import (
     ConditionalConfounder,
     Contrast,
@@ -65,18 +67,37 @@ LINEAR_PRESET_GAMMA = np.array([2.8])
 # ---------------------------------------------------------------- I/O helpers
 
 
+def _table_rows(path, limit: int | None = None) -> list[str]:
+    """The first limit rows (all by default) of a table that are neither
+    blank nor '#' provenance."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = (ln for ln in fh if ln.rstrip("\r\n") and not ln.startswith("#"))
+            return list(itertools.islice(rows, limit))
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_header(line: str) -> list[str]:
+    return [c.strip() for c in next(csv.reader([line]))]
+
+
+def _read_header(path) -> list[str]:
+    """Column names of a table, read up to its header row only."""
+    lines = _table_rows(path, 1)
+    if not lines:
+        raise InputFormatError(f"{path} needs a header row")
+    return _parse_header(lines[0])
+
+
 def _read_table(path) -> tuple[list[str], np.ndarray]:
     """Comma-separated, UTF-8, header row required, '.' decimal, finite
     numbers only; rows starting with '#' (provenance) and blank rows are
     skipped. A '#' anywhere else is an error, never the start of a comment."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if ln.rstrip("\r\n") and not ln.startswith("#")]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    lines = _table_rows(path)
     if len(lines) < 2:
         raise InputFormatError(f"{path} needs a header row and at least one data row")
-    names = [c.strip() for c in next(csv.reader(lines[:1]))]
+    names = _parse_header(lines[0])
     try:
         data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
@@ -98,24 +119,32 @@ def _read_point(path, k: int) -> np.ndarray:
     return data[0]
 
 
-def _split_outcome(names: list[str], data: np.ndarray, outcome: str):
-    """Outcome given as a column name in the treatment table or as a
-    separate single-column CSV path."""
+def _outcome_column(names: list[str], outcome: str) -> int | None:
+    """Index of the outcome among the treatment table's columns, or None
+    when it names a separate file."""
     if outcome in names:
-        j = names.index(outcome)
-        y = data[:, j]
-        keep = [i for i in range(len(names)) if i != j]
-        return y, data[:, keep], [names[i] for i in keep]
+        return names.index(outcome)
     if os.path.exists(outcome):
-        _, ydata = _read_table(outcome)
-        if ydata.shape[1] != 1:
-            raise InputFormatError(f"outcome file {outcome} must have one column")
-        if ydata.shape[0] != data.shape[0]:
-            raise InputFormatError("outcome file row count does not match treatments")
-        return ydata[:, 0], data, list(names)
+        return None
     raise InputFormatError(
         f"outcome {outcome!r} is neither a column of the treatment table nor a file"
     )
+
+
+def _split_outcome(names: list[str], data: np.ndarray, outcome: str):
+    """Outcome given as a column name in the treatment table or as a
+    separate single-column CSV path."""
+    j = _outcome_column(names, outcome)
+    if j is not None:
+        y = data[:, j]
+        keep = [i for i in range(len(names)) if i != j]
+        return y, data[:, keep], [names[i] for i in keep]
+    _, ydata = _read_table(outcome)
+    if ydata.shape[1] != 1:
+        raise InputFormatError(f"outcome file {outcome} must have one column")
+    if ydata.shape[0] != data.shape[0]:
+        raise InputFormatError("outcome file row count does not match treatments")
+    return ydata[:, 0], data, list(names)
 
 
 def _write_tsv(path, columns: list[str], rows, prov: dict) -> None:
@@ -133,8 +162,16 @@ def _fmt(v) -> str:
 # ------------------------------------------------------------ flag parsing
 
 
+def _parse_floats(text: str) -> list[float]:
+    """Comma-separated numbers; empty items are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise InputFormatError(f"bad numeric list {text!r}: {exc}") from exc
+
+
 def _parse_r2_list(text: str) -> list[float]:
-    """'0.5' | '0.1,0.5,1' | 'start:stop:count'."""
+    """'0.5' | '0.1,0.5,1' | 'start:stop:count'; never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -146,10 +183,10 @@ def _parse_r2_list(text: str) -> list[float]:
         if count < 2:
             raise InputFormatError("grid count must be at least 2")
         return [float(v) for v in np.linspace(start, stop, count)]
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise InputFormatError(f"bad numeric list {text!r}: {exc}") from exc
+    values = _parse_floats(text)
+    if not values:
+        raise InputFormatError(f"numeric list {text!r} holds no value")
+    return values
 
 
 def _parse_contrasts(args, k: int) -> list[tuple[str, Contrast]]:
@@ -237,22 +274,27 @@ def cmd_bounds(args, prov: dict) -> int:
     _require_continuous(outcome)
     sigma = outcome.sigma()
     contrasts = _parse_contrasts(args, cc.k)
-    r2_grid = _parse_r2_list(args.r2)
+    r2_grid = [_check_r2(r2) for r2 in _parse_r2_list(args.r2)]
     records = []
     for contrast_id, c in contrasts:
         naive = _naive_contrast(outcome, c)
         rv = robustness_value(naive, cc, sigma, c)
+        # The region of a zero effect at unit sigma and cap 1 is [-w, w] with
+        # w = ||Sigma^{-1/2} mu_delta|| exactly, so every cap's half-width is
+        # the product worst_case_bias forms; every cap is unbounded, r2 = 0
+        # included, when this one is.
+        unit = ignorance_region(0.0, cc, 1.0, 1.0, c)
         for r2 in r2_grid:
-            region = ignorance_region(naive, cc, sigma, r2, c)
+            half = sigma * math.sqrt(r2) * unit.upper if unit.bounded else math.inf
             records.append(
                 {
                     "contrast_id": contrast_id,
                     "naive": naive,
-                    "lower": region.lower,
-                    "upper": region.upper,
-                    "r2_cap": region.r2_cap,
+                    "lower": naive - half,
+                    "upper": naive + half,
+                    "r2_cap": r2,
                     "rv": rv.value,
-                    "bounded": region.bounded,
+                    "bounded": unit.bounded,
                 }
             )
     _write_json({"results": records}, args.out, prov)
@@ -301,17 +343,17 @@ def cmd_mcc(args, prov: dict) -> int:
     _require_continuous(outcome)
     if not isinstance(outcome, GaussianOutcome):
         raise InputFormatError("mcc needs the linear (gaussian) outcome model")
-    observed = None
-    id_names = None
+    bank = build_bank_unitwise(cc, None, outcome)
     if args.treatments is not None:
-        names, data = _read_table(args.treatments)
+        # the bank needs only k and the contrast names: the header row
+        names = _read_header(args.treatments)
         if args.outcome is not None:
-            _, data, names = _split_outcome(names, data, args.outcome)
-        observed = TreatmentMatrix(data)
-        id_names = names
-    bank = build_bank_unitwise(cc, observed, outcome)
-    if id_names is not None and len(id_names) == bank.n_contrasts:
-        bank = replace(bank, ids=tuple(id_names))
+            j = _outcome_column(names, args.outcome)
+            if j is not None:
+                del names[j]
+        if len(names) != cc.k:
+            raise DimensionError("treatments and confounder dimensions disagree")
+        bank = replace(bank, ids=tuple(names))
     result = mcc_minimize(
         bank, norm=args.norm, r2_cap=args.r2_cap, seed=args.seed
     )
@@ -357,7 +399,7 @@ def cmd_rr(args, prov: dict) -> int:
         raise InputFormatError("rr takes exactly one contrast")
     _, c = contrasts[0]
     if args.direction is not None:
-        d = as_vector([float(v) for v in args.direction.split(",")], "direction")
+        d = as_vector(_parse_floats(args.direction), "direction")
         if d.shape[0] != cc.m:
             raise InputFormatError(f"direction needs {cc.m} components")
     elif cc.m == 1:

@@ -155,6 +155,8 @@ def rr_curve(
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
     grid = np.asarray(signed_r2_grid, dtype=float)
+    if grid.ndim != 1:
+        raise DimensionError(f"signed_r2_grid must be 1-d, got shape {grid.shape}")
     direction = _confounder_vector(direction, "direction", cc)
     ev = _RrEvaluator(c, cc, bin_out, observed)
     mag = np.abs(grid)

@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 import mtsens
+from mtsens import (
+    Contrast,
+    ignorance_region,
+    load_confounder,
+    load_outcome,
+    robustness_value,
+)
 from mtsens.cli import main
 from mtsens.errors import ConvergenceError
 
@@ -206,6 +213,61 @@ def test_bounds_r2_grid(linear_models, tmp_path, capsys):
     assert widths == sorted(widths)
 
 
+def _write_point(path, values):
+    path.write_text(
+        ",".join(f"t{j + 1}" for j in range(len(values))) + "\n"
+        + ",".join(repr(float(v)) for v in values) + "\n"
+    )
+    return path
+
+
+def test_bounds_grid_equals_per_cap_regions(linear_models, tmp_path, capsys):
+    # every (contrast, cap) record against its own ignorance_region call
+    p1 = _write_point(tmp_path / "p1.csv", [0.5, -1.0, 2.0, 0.25])
+    p2 = _write_point(tmp_path / "p2.csv", [-0.5, 0.0, 1.0, 0.75])
+    grid = [0.0, 0.1, 0.37, 1.0]
+    out = tmp_path / "grid.json"
+    rc, _, err = _run(
+        ["bounds", "--models", str(linear_models["models"]), "--all-unitwise",
+         "--contrast", f"{p1},{p2}", "--r2", ",".join(map(str, grid)),
+         "--out", str(out)],
+        capsys,
+    )
+    assert rc == 0, err
+    records = json.loads(out.read_text())["results"]
+    cc = load_confounder(linear_models["models"] / "confounder.json")
+    outcome = load_outcome(linear_models["models"] / "outcome.json")
+    contrasts = [Contrast.unit(4, j) for j in range(4)]
+    contrasts.append(Contrast(np.loadtxt(p1, delimiter=",", skiprows=1),
+                              np.loadtxt(p2, delimiter=",", skiprows=1)))
+    assert len(records) == len(contrasts) * len(grid)
+    sigma = outcome.sigma()
+    for i, c in enumerate(contrasts):
+        naive = float(outcome.mean(c.t1)) - float(outcome.mean(c.t2))
+        rv = robustness_value(naive, cc, sigma, c)
+        for r2, rec in zip(grid, records[i * len(grid):(i + 1) * len(grid)]):
+            region = ignorance_region(naive, cc, sigma, r2, c)
+            assert rec["naive"] == naive
+            assert rec["r2_cap"] == r2
+            assert rec["bounded"] is region.bounded is True
+            assert rec["lower"] == pytest.approx(region.lower, rel=1e-15, abs=0)
+            assert rec["upper"] == pytest.approx(region.upper, rel=1e-15, abs=0)
+            assert rec["rv"] == rv.value
+    assert records[0]["lower"] == records[0]["naive"] == records[0]["upper"]
+
+
+def test_bounds_grid_outside_unit_interval_exit_2(linear_models, tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    rc, _, err = _run(
+        ["bounds", "--models", str(linear_models["models"]), "--all-unitwise",
+         "--r2", "0.5,1.5", "--out", str(out)],
+        capsys,
+    )
+    assert rc == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "CalibrationError"
+    assert not out.exists()
+
+
 def test_rv_command(linear_models, tmp_path, capsys):
     out = tmp_path / "rv.json"
     rc, stdout, _ = _run(
@@ -286,6 +348,48 @@ def test_mcc_command(linear_models, tmp_path, capsys):
     # header plus one row per treatment column, named from the CSV header
     assert len(lines) == 5
     assert lines[1].split("\t")[0] == "t1"
+
+
+def _mcc_args(models, treatments, out_dir, outcome="y"):
+    return ["mcc", "--models", str(models), "--treatments", str(treatments),
+            "--outcome", outcome, "--out-dir", str(out_dir)]
+
+
+def test_mcc_ids_are_the_header_names(linear_models, tmp_path, capsys):
+    # only the header row is read: provenance and blank rows before it are
+    # skipped, and the data rows after it are never parsed
+    csv_path = tmp_path / "named.csv"
+    csv_path.write_text("# provenance\n\n alpha,y,beta , gamma,delta\n1,2,x,4,5\n")
+    out_dir = tmp_path / "mcc"
+    rc, _, err = _run(_mcc_args(linear_models["models"], csv_path, out_dir), capsys)
+    assert rc == 0, err
+    rows = [
+        l.split("\t")
+        for l in (out_dir / "mcc_report.tsv").read_text().splitlines()
+        if l and not l.startswith("#")
+    ]
+    assert [r[0] for r in rows[1:]] == ["alpha", "beta", "gamma", "delta"]
+
+
+@pytest.mark.parametrize(
+    "header, outcome, error",
+    [
+        ("t1,t2,t3,y", "y", "DimensionError"),
+        ("t1,t2,t3,t4,t5,y", "y", "DimensionError"),
+        ("t1,t2,t3,t4,y", "nosuch", "InputFormatError"),
+    ],
+)
+def test_mcc_header_errors_exit_2(linear_models, tmp_path, capsys, header, outcome, error):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text(header + "\n" + ",".join(["1"] * header.count(",")) + ",1\n")
+    rc, _, err = _run(
+        _mcc_args(linear_models["models"], csv_path, tmp_path / "mcc", outcome), capsys
+    )
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == error
+    if error == "InputFormatError":
+        assert "nosuch" in payload["message"]
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +485,15 @@ def test_rr_treatments_missing_a_column_exit_2(binary_models, tmp_path, capsys):
     assert rc == 2
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "DimensionError"
+
+
+@pytest.mark.parametrize("direction", ["a,1,1", "nan,1,1", "nan", "inf"])
+def test_rr_bad_direction_exit_2(binary_models, tmp_path, capsys, direction):
+    capsys.readouterr()
+    args = _rr_args(binary_models["models"], binary_models["csv"], tmp_path / "rr.tsv")
+    rc, _, err = _run(args + [f"--direction={direction}"], capsys)
+    assert rc == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "InputFormatError"
 
 
 def test_proxy_command(tmp_path, capsys):
@@ -480,19 +593,26 @@ def test_missing_models_dir_exit_2(tmp_path, capsys):
     assert "error" in payload
 
 
-def test_bad_grid_spec_exit_2(linear_models, capsys):
-    rc, _, err = _run(
-        [
-            "bounds",
-            "--models",
-            str(linear_models["models"]),
-            "--contrast",
-            "e1",
-            "--r2",
-            "0:1",
-        ],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "command, flag, spec",
+    [
+        ("bounds", "--r2", "0:1"),
+        ("bounds", "--r2", ""),
+        ("bounds", "--r2", ","),
+        ("proxy", "--sigma-u2", ""),
+    ],
+)
+def test_bad_grid_spec_exit_2(linear_models, tmp_path, capsys, command, flag, spec):
+    if command == "bounds":
+        args = ["bounds", "--models", str(linear_models["models"]), "--contrast", "e1"]
+    else:
+        data = tmp_path / "proxy.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(50, 3)), delimiter=",",
+                   header="y,t,z", comments="")
+        args = ["proxy", "--data", str(data)]
+    out = tmp_path / "out.json"
+    rc, _, err = _run(args + [f"{flag}={spec}", "--out", str(out)], capsys)
+    assert not out.exists()
     assert rc == 2
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "InputFormatError"

@@ -253,9 +253,13 @@ def test_unbounded_region_writes_null_endpoints(tmp_path, capsys, recorded_write
                  models / "outcome.json", {"made": "by hand"})
     del recorded_writes[:]
     capsys.readouterr()
-    assert main(["bounds", "--models", str(models), "--contrast", "e2", "--r2", "0.5"]) == 0
+    argv = ["bounds", "--models", str(models), "--contrast", "e2", "--r2", "0,0.5,1"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    (rec,) = json.loads(out)["results"]
-    assert rec["bounded"] is False
-    assert rec["lower"] is None and rec["upper"] is None
+    records = json.loads(out)["results"]
+    # unbounded at every cap, r2 = 0 included
+    assert [rec["r2_cap"] for rec in records] == [0.0, 0.5, 1.0]
+    for rec in records:
+        assert rec["bounded"] is False
+        assert rec["lower"] is None and rec["upper"] is None
     _assert_same_documents(recorded_writes, [out])

@@ -322,6 +322,10 @@ def test_wrong_dimensions_raise_dimension_error():
         rr_contrast(c, spec2, CC_1D, bo, TWO_POINT)
     with pytest.raises(DimensionError):
         rr_curve(c, CC_1D, bo, TWO_POINT, np.array([0.6, 0.8]), [0.5])
+    # a signed-r2 grid that is a scalar or a matrix
+    for grid in (0.5, [[-0.5, 0.5]]):
+        with pytest.raises(DimensionError):
+            rr_curve(c, CC_1D, bo, TWO_POINT, np.array([1.0]), grid)
 
 
 def _random_model(seed, m, k, n):
