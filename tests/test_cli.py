@@ -593,16 +593,37 @@ def test_missing_models_dir_exit_2(tmp_path, capsys):
     assert "error" in payload
 
 
+def test_bad_grid_spec_exit_2(linear_models, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc, _, err = _run(
+        [
+            "bounds",
+            "--models",
+            str(linear_models["models"]),
+            "--contrast",
+            "e1",
+            "--r2",
+            "0:1",
+            "--out",
+            str(out),
+        ],
+        capsys,
+    )
+    assert not out.exists()
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InputFormatError"
+
+
 @pytest.mark.parametrize(
     "command, flag, spec",
     [
-        ("bounds", "--r2", "0:1"),
         ("bounds", "--r2", ""),
         ("bounds", "--r2", ","),
         ("proxy", "--sigma-u2", ""),
     ],
 )
-def test_bad_grid_spec_exit_2(linear_models, tmp_path, capsys, command, flag, spec):
+def test_empty_grid_spec_exit_2(linear_models, tmp_path, capsys, command, flag, spec):
     if command == "bounds":
         args = ["bounds", "--models", str(linear_models["models"]), "--contrast", "e1"]
     else:
