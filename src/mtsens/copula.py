@@ -26,7 +26,7 @@ from .errors import (
     InvalidCopulaError,
 )
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
-from .outcome import GaussianOutcome, conditional_cdf_quantile
+from .outcome import EmpiricalOutcome, GaussianOutcome, conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
@@ -233,7 +233,17 @@ def _from_gaussian(outcome, t):
     if isinstance(outcome, GaussianOutcome):
         mu, sd = float(outcome.mean(t)), outcome.sigma()
         return lambda ytilde: (mu + sd * ytilde, 0)
-    _, quantile = conditional_cdf_quantile(outcome, t)
+    if isinstance(outcome, EmpiricalOutcome) and outcome.residual_quantiles.size > 1:
+        # the type-7 quantile, unchecked: u is clipped, so 0 <= lo <= n - 2
+        mu, resid = float(outcome.mean(t)), outcome.residual_quantiles
+        diff, top = np.diff(resid), resid.size - 1
+
+        def quantile(u):
+            h = u * top
+            lo = h.astype(np.intp)
+            return mu + (resid[lo] + (h - lo) * diff[lo])
+    else:
+        _, quantile = conditional_cdf_quantile(outcome, t)
 
     def to_y(ytilde):
         u = ndtr(ytilde)

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
 from ._linalg import PsdRoots, as_vector, eigh_desc, fix_column_signs, psd_roots, symmetrize
 from .errors import DegenerateModelError, DimensionError, InputFormatError
@@ -66,7 +67,8 @@ class FactorModel:
     treatment noise variance, singular_values the m leading factor scales
     (d_i of B, descending).  treatment_means are the column means removed
     during fitting so raw treatment vectors can be used downstream.
-    covariance_eigvals, not serialized, is the fitted covariance's spectrum.
+    covariance_eigvals, not serialized, holds the fitted covariance's leading
+    min(k, max(m, 10)) eigenvalues, descending, not the whole spectrum.
     """
 
     b_hat: np.ndarray
@@ -211,23 +213,10 @@ class Contrast:
         return cls(t1, np.zeros(k))
 
 
-def _ppca_from_eig(lam: np.ndarray, vec: np.ndarray, m: int):
-    """Tipping-Bishop ML loadings from descending covariance eigenpairs."""
-    k = lam.shape[0]
-    sigma2 = float(np.mean(lam[m:]))
-    gaps = lam[:m] - sigma2
-    if np.any(gaps <= 0):
-        raise DegenerateModelError(
-            "leading eigenvalues do not exceed the noise level; "
-            f"lambda - sigma2 = {np.round(gaps, 6)}"
-        )
-    d = np.sqrt(gaps)
-    b = fix_column_signs(vec[:, :m]) * d
-    return b, sigma2, d
-
-
 def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> FactorModel:
-    """Fit the factor model directly from a treatment covariance matrix."""
+    """Fit the factor model from a treatment covariance matrix: Tipping-Bishop
+    loadings from its m leading eigenpairs, and the mean of the trailing
+    eigenvalues, (tr cov - their sum) / (k - m), as the noise variance."""
     cov = symmetrize(np.asarray(cov, dtype=float))
     k = cov.shape[0]
     if not (1 <= m < k):
@@ -235,10 +224,18 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
             f"m={m} must satisfy 1 <= m < k={k}; with m >= k the treatment "
             "noise variance is not identifiable from the covariance"
         )
-    lam, vec = eigh_desc(cov)
-    b, sigma2, d = _ppca_from_eig(lam, vec, m)
+    lam, vec = eigh(cov, subset_by_index=[max(0, k - max(m, 10)), k - 1])
+    lam, vec = lam[::-1], vec[:, ::-1]
+    sigma2 = float((np.trace(cov) - lam[:m].sum()) / (k - m))
+    gaps = lam[:m] - sigma2
+    if np.any(gaps <= 0):
+        raise DegenerateModelError(
+            "leading eigenvalues do not exceed the noise level; "
+            f"lambda - sigma2 = {np.round(gaps, 6)}"
+        )
+    d = np.sqrt(gaps)
     return FactorModel(
-        b_hat=b,
+        b_hat=fix_column_signs(vec[:, :m]) * d,
         sigma2_t_given_u=sigma2,
         m=m,
         singular_values=d,

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr_multiply, solve_triangular
+from scipy.linalg import lapack, qr_multiply, solve_triangular
 from scipy.stats import norm
 
 from .errors import (
@@ -123,12 +123,20 @@ class PolynomialMeanFn:
 
 
 def _lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Least-squares coefficients of y on the columns of x from one pivoted
-    QR. Raises SingularFitError naming the dependent columns if x is rank
-    deficient: |R_ii| <= max|R_ii| * max(n, p) * eps."""
+    """Least-squares coefficients of y on the columns of x. Unless an unpivoted
+    QR certifies full rank, a pivoted QR decides, and SingularFitError names
+    the dependent columns if |R_ii| <= max|R_ii| * max(n, p) * eps."""
+    tol = max(x.shape) * np.finfo(float).eps
+    qty, r = qr_multiply(x, y, mode="right")
+    # Pivoted R: min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)), and
+    # rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a small
+    # factor (Higham 1988): with 10x for it and 2x for rounding, rcond > 20 p
+    # tol implies full rank. dgecon on R as LU factors (L = I) is ?trcon.
+    if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * x.shape[1] * tol:
+        return solve_triangular(r, qty)
     qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag.max() * max(x.shape) * np.finfo(float).eps))
+    rank = int(np.sum(diag > diag.max() * tol))
     if rank < x.shape[1]:
         labels = [names[i] for i in sorted(piv[rank:])]
         raise SingularFitError(

@@ -99,6 +99,67 @@ def test_ppca_reconstruction_spectrum():
     assert got == pytest.approx(expected, abs=1e-10)
 
 
+def _ppca_full_eigh(cov, m):
+    """Reference: Tipping-Bishop loadings from the whole spectrum, or None
+    where the leading eigenvalues do not exceed the noise level."""
+    lam, vec = np.linalg.eigh(cov)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    sigma2 = lam[m:].mean()
+    if np.any(lam[:m] <= sigma2):
+        return None
+    d = np.sqrt(lam[:m] - sigma2)
+    return vec[:, :m] * d, sigma2, d, lam
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [2, 3, 9, 10, 11, 60])
+@pytest.mark.parametrize("top", [False, True])
+def test_partial_spectrum_ppca_matches_full_eigh(k, top, seed):
+    m = k - 1 if top else 1
+    rng = np.random.default_rng(seed)
+    # noise scales spread so that no two eigenvalues nearly tie
+    b = rng.normal(size=(k, m)) * 2.0
+    data = _simulate_factor_data(b, 1.0, n=4 * k + 40, seed=seed) * np.linspace(0.6, 1.4, k)
+    fm = fit_ppca(TreatmentMatrix(data), m)
+    centered = data - data.mean(axis=0)
+    b_ref, sigma2, d, lam = _ppca_full_eigh(centered.T @ centered / data.shape[0], m)
+    signs = np.sign(np.sum(fm.b_hat * b_ref, axis=0))
+    assert np.linalg.norm(fm.b_hat * signs - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+    assert fm.sigma2_t_given_u == pytest.approx(sigma2, rel=1e-10)
+    # d_i^2 = lambda_i - sigma2 carries the eigenvalues' absolute error,
+    # about k eps lambda_max, which dominates when lambda_m is near sigma2
+    eps = np.finfo(float).eps
+    assert fm.singular_values**2 == pytest.approx(d**2, rel=1e-10, abs=k * eps * lam[0])
+    # the leading min(k, max(m, 10)) eigenvalues, all of them when k <= 10
+    assert fm.covariance_eigvals.shape == (min(k, max(m, 10)),)
+    assert fm.covariance_eigvals == pytest.approx(lam[: min(k, max(m, 10))], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "cov, m, degenerate",
+    [
+        (np.array([[5.0, 2.0], [2.0, 2.0]]), 1, False),
+        (2.0 * np.eye(2), 1, True),
+        (3.0 * np.eye(3), 2, True),
+        (np.diag([5.0, 1.0, 1.0, 1.0]), 2, True),
+        (np.diag([4.0, 3.0] + [0.5] * 9), 1, False),
+        (0.5 * np.eye(11), 10, True),
+        (np.eye(12), 1, True),
+        (np.diag([5.0] + [1.0] * 11), 2, True),
+    ],
+)
+def test_partial_spectrum_ppca_keeps_degenerate_verdict(cov, m, degenerate):
+    ref = _ppca_full_eigh(cov, m)
+    assert (ref is None) == degenerate
+    if degenerate:
+        with pytest.raises(DegenerateModelError):
+            ppca_from_covariance(cov, m)
+        return
+    fm = ppca_from_covariance(cov, m)
+    assert fm.sigma2_t_given_u == pytest.approx(ref[1], rel=1e-10)
+    assert np.abs(fm.b_hat) == pytest.approx(np.abs(ref[0]), rel=1e-10)
+
+
 def test_select_dim_eigen_gap_one_factor():
     data = _simulate_factor_data(B_K4, 1.0, n=5000, seed=2)
     assert select_dim(TreatmentMatrix(data), method="eigen_gap") == 1

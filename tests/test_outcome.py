@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import qr
 from scipy.stats import norm
 
@@ -251,6 +253,66 @@ def test_fit_linear_singular_names_same_columns(case):
     with pytest.raises(SingularFitError) as exc:
         fit_linear(tm, rng.normal(size=50))
     assert expected and exc.value.columns == expected
+
+
+@st.composite
+def _straddling_designs(draw):
+    """Treatments whose design [1, T] runs from well conditioned past the
+    rank boundary: a column mixed into another or scaled by 10^-e, e in
+    [2, 15], or an exact duplicate, sum or constant column."""
+    n = draw(st.integers(12, 60))
+    k = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-2, 2, size=k)
+    i, j, l = rng.permutation(k)[:3]
+    delta = 10.0 ** -draw(st.floats(2.0, 15.0))
+    kind = draw(st.sampled_from(["mix", "scale", "duplicate", "sum", "constant"]))
+    if kind == "mix":
+        t[:, j] = t[:, i] + delta * t[:, j]
+    elif kind == "scale":
+        t[:, j] *= delta
+    elif kind == "duplicate":
+        t[:, j] = t[:, i]
+    elif kind == "sum":
+        t[:, j] = t[:, i] - 0.5 * t[:, l]
+    else:
+        t[:, j] = 2.5
+    return t, t @ rng.normal(size=k) + rng.normal(size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_straddling_designs())
+def test_certified_qr_keeps_pivoted_verdict(design):
+    t, y = design
+    n = t.shape[0]
+    tm = TreatmentMatrix(t)
+    x = np.column_stack([np.ones(n), t])
+    expected = _rank_check_names(x, ["intercept"] + tm.names())
+    if expected:
+        with pytest.raises(SingularFitError) as exc:
+            fit_linear(tm, y)
+        assert exc.value.columns == expected
+        return
+    out = fit_linear(tm, y)
+    # compared per unit-norm column: QR is invariant to column scaling,
+    # while lstsq drops singular values below max(n, p) eps sigma_max
+    norms = np.linalg.norm(x, axis=0)
+    xs = x / norms
+    got = np.concatenate([[out.intercept], out.tau_naive]) * norms
+    ref = np.linalg.lstsq(xs, y, rcond=None)[0]
+    eps = np.finfo(float).eps
+    kappa = np.linalg.cond(xs)
+    resid = np.linalg.norm(y - xs @ ref)
+    # 1e-10 where the least-squares perturbation bound (Higham 2002, Thm
+    # 20.1) for two solves backward stable to n eps allows it; that bound
+    # is void for kappa near 1/eps, where the normal equations certify
+    bound = 2 * n * eps * kappa * (
+        2 + (kappa + 1) * resid / (np.linalg.norm(xs, 2) * np.linalg.norm(ref))
+    )
+    assert np.linalg.norm(got - ref) <= max(1e-10, bound) * np.linalg.norm(ref)
+    r = y - xs @ got
+    scale = np.linalg.norm(y) + np.linalg.norm(xs) * np.linalg.norm(got)
+    assert np.linalg.norm(xs.T @ r) <= 10 * n * eps * scale
 
 
 @pytest.mark.parametrize("seed", range(4))
