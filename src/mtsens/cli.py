@@ -29,6 +29,9 @@ from .factor import (
     ConditionalConfounder,
     Contrast,
     TreatmentMatrix,
+    _fit_ppca,
+    _moments,
+    _select_dim,
     _write_json,
     _write_text,
     conditional_confounder,
@@ -37,7 +40,6 @@ from .factor import (
     load_factor_model,
     save_confounder,
     save_factor_model,
-    select_dim,
 )
 from .mcc import build_bank_unitwise, mcc_minimize, mcc_report
 from .outcome import (
@@ -242,9 +244,12 @@ def cmd_fit(args, prov: dict) -> int:
     tm = TreatmentMatrix(t_data)
     if args.m is not None:
         m = args.m
+        fm = fit_ppca(tm, m)
     else:
-        m = select_dim(tm, method=args.select_dim)
-    fm = fit_ppca(tm, m)
+        # one covariance for the dimension choice and the fit
+        means, cov = _moments(tm)
+        m = _select_dim(tm, cov, args.select_dim)
+        fm = _fit_ppca(tm, m, means, cov)
     cc = conditional_confounder(fm)
     if args.outcome_kind == "gaussian":
         outcome = fit_linear(tm, y)
@@ -594,7 +599,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", default=None, help="outcome column to drop from CSV")
     p.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
     p.add_argument("--r2-cap", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="recorded only; every norm's solve is deterministic"
+    )
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_mcc)
 

@@ -244,21 +244,30 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
     )
 
 
+def _moments(treatments: TreatmentMatrix):
+    """Column means and the k x k covariance (divisor n) of the treatments."""
+    means = treatments.data.mean(axis=0)
+    centered = treatments.data - means
+    return means, (centered.T @ centered) / treatments.n
+
+
 def fit_ppca(treatments: TreatmentMatrix, m: int) -> FactorModel:
     """Maximum-likelihood factor model for the observed treatments.
 
     Columns are centered internally; the removed means are stored on the
     returned model so downstream code can keep working with raw t vectors.
     """
+    return _fit_ppca(treatments, m, *_moments(treatments))
+
+
+def _fit_ppca(treatments: TreatmentMatrix, m: int, means, cov) -> FactorModel:
+    """fit_ppca from the treatments' _moments."""
     n, k = treatments.n, treatments.k
     if n <= k:
         warnings.warn(
             f"n={n} <= k={k}: factor model estimates will be unstable",
-            stacklevel=2,
+            stacklevel=3,
         )
-    means = treatments.data.mean(axis=0)
-    centered = treatments.data - means
-    cov = (centered.T @ centered) / n
     return ppca_from_covariance(cov, m, treatment_means=means)
 
 
@@ -270,11 +279,15 @@ def select_dim(treatments: TreatmentMatrix, method: str = "eigen_gap") -> int:
     holdout: the m in {1..k-1} minimizing mean held-out per-entry Gaussian
     negative log-likelihood under 5-fold row splits (columns kept intact).
     """
-    n, k = treatments.n, treatments.k
+    return _select_dim(treatments, _moments(treatments)[1], method)
+
+
+def _select_dim(treatments: TreatmentMatrix, cov, method: str) -> int:
+    """select_dim from the treatments' covariance."""
+    k = treatments.k
     if k < 3:
         raise DimensionError("dimension selection needs at least 3 treatment columns")
-    centered = treatments.data - treatments.data.mean(axis=0)
-    lam = np.linalg.eigvalsh((centered.T @ centered) / n)[::-1]
+    lam = np.linalg.eigvalsh(cov)[::-1]
     if lam[0] - lam[-1] <= 1e-9 * max(abs(lam[0]), 1.0):
         raise DegenerateModelError(
             "treatment spectrum is flat: no factor structure to select"

@@ -4,6 +4,7 @@ One subprocess test confirms the installed console script."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +15,14 @@ import pytest
 import mtsens
 from mtsens import (
     Contrast,
+    TreatmentMatrix,
     ignorance_region,
     load_confounder,
     load_outcome,
     robustness_value,
+    select_dim,
 )
+from mtsens import cli
 from mtsens.cli import main
 from mtsens.errors import ConvergenceError
 
@@ -140,6 +144,39 @@ def test_fit_prints_covariance_spectrum(linear_models, tmp_path, capsys):
     lam = np.linalg.eigvalsh(np.cov(t.T, bias=True))[::-1]
     expected = ", ".join(f"{v:.4g}" for v in lam[:10])
     assert f"covariance eigenvalues: {expected}\n" in out
+
+
+def test_fit_select_dim_matches_fixed_m(tmp_path, capsys):
+    # --select-dim builds one covariance for the choice and the fit; the
+    # model files must equal those of --m at the chosen dimension
+    rc, _, _ = _run(
+        ["simulate", "--preset", "gwas", "--seed", "5", "--n", "400", "--k", "12",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert rc == 0
+    csv_path = tmp_path / "gwas_data.csv"
+    rc, out, _ = _run(
+        ["fit", "--treatments", str(csv_path), "--outcome", "y", "--select-dim",
+         "eigen_gap", "--out-dir", str(tmp_path / "sel")],
+        capsys,
+    )
+    assert rc == 0
+    m = int(re.search(r"fitted factor model: m = (\d+),", out).group(1))
+    names, data = cli._read_table(str(csv_path))
+    t_data = data[:, [i for i, name in enumerate(names) if name != "y"]]
+    assert m == select_dim(TreatmentMatrix(t_data), method="eigen_gap")
+    rc, _, _ = _run(
+        ["fit", "--treatments", str(csv_path), "--outcome", "y", "--m", str(m),
+         "--out-dir", str(tmp_path / "fixed")],
+        capsys,
+    )
+    assert rc == 0
+    for fname in ("factor_model.json", "confounder.json", "outcome.json"):
+        docs = [json.loads((tmp_path / d / fname).read_text()) for d in ("sel", "fixed")]
+        for doc in docs:
+            del doc["_provenance"]
+        assert docs[0] == docs[1], fname
 
 
 def test_bounds_round_trip(linear_models, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtsens import (
     CalibrationError,
@@ -12,6 +14,7 @@ from mtsens import (
     DegenerateModelError,
     DimensionError,
     GaussianOutcome,
+    InputFormatError,
     SensitivitySpec,
     build_bank_unitwise,
     gamma_from_r2_direction,
@@ -274,6 +277,8 @@ def test_mcc_minimize_validation():
     bank = _random_bank(23)
     with pytest.raises(ValueError):
         mcc_minimize(bank, norm="l3")
+    with pytest.raises(InputFormatError):
+        mcc_minimize(bank, norm="l3")
     with pytest.raises(CalibrationError):
         mcc_minimize(bank, r2_cap=1.5)
     singular = ContrastBank(
@@ -327,5 +332,177 @@ def test_polar_grid_oracle_m2(norm, seed):
 def test_primal_dual_iteration_limit_raises():
     bank = _random_bank(41, n_contrasts=8, m=2)
     with pytest.raises(ConvergenceError) as info:
-        mcc_minimize(bank, norm="l1", r2_cap=0.3, max_iter=5)
+        mcc_minimize(bank, norm="l1", r2_cap=0.3, max_iter=1)
     assert info.value.last_iterate.shape == (2,)
+
+
+def _whitened(bank):
+    return bank.sigma_y_given_t * (bank.deltas @ _inv_sqrt(bank.sigma_u_given_t))
+
+
+def _lp_optimum(naive, g, norm):
+    """Unconstrained LAD (L1) or Chebyshev (Linf) fit of naive by g z, as a
+    linear program; returns its z."""
+    from scipy.optimize import linprog
+
+    n_contrasts, m = g.shape
+    n_slack = n_contrasts if norm == "l1" else 1
+    slack = np.eye(n_contrasts) if norm == "l1" else np.ones((n_contrasts, 1))
+    res = linprog(
+        np.r_[np.zeros(m), np.ones(n_slack)],
+        A_ub=np.block([[-g, -slack], [g, -slack]]),
+        b_ub=np.r_[-naive, naive],
+        bounds=[(None, None)] * m + [(0.0, None)] * n_slack,
+        method="highs",
+    )
+    assert res.status == 0
+    return res.x[:m]
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("seed", range(8))
+def test_interior_optimum_matches_linear_program_m3(norm, seed):
+    # the deltas are scaled so that the LP optimum has whitened norm 0.5,
+    # inside the unit ball: the constrained optimum is the LP's, whose
+    # value is taken at the LP's z (HiGHS' own objective is rounded to its
+    # feasibility tolerance)
+    rng = np.random.default_rng(seed)
+    n_contrasts = int(rng.integers(4, 31))
+    bank = _random_bank(100 + seed, n_contrasts=n_contrasts, m=3)
+    z_lp = _lp_optimum(bank.naive, _whitened(bank), norm)
+    bank = ContrastBank(
+        deltas=bank.deltas * (2.0 * np.linalg.norm(z_lp)),
+        naive=bank.naive,
+        sigma_y_given_t=bank.sigma_y_given_t,
+        sigma_u_given_t=bank.sigma_u_given_t,
+    )
+    g = _whitened(bank)
+    z_lp = _lp_optimum(bank.naive, g, norm)
+    assert float(z_lp @ z_lp) < 0.3
+    order = 1 if norm == "l1" else np.inf
+    oracle = float(np.linalg.norm(bank.naive - g @ z_lp, order))
+    res = mcc_minimize(bank, norm=norm, r2_cap=1.0)
+    assert res.achieved_norm == pytest.approx(oracle, rel=1e-9)
+    assert 0.0 <= res.duality_gap <= 1e-9 * max(1.0, res.achieved_norm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_contrasts=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["plain", "rank_deficient", "duplicated", "integer", "zero_row"]),
+    cap=st.floats(min_value=1e-6, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_certificate_holds_on_degenerate_banks(n_contrasts, m, kind, cap, seed):
+    # rank-deficient deltas (a repeated column), duplicated contrasts,
+    # integer data (ties among residuals) and zero rows all keep the
+    # returned point feasible and certified, and no worse than the L2 point
+    rng = np.random.default_rng(seed)
+    deltas = rng.normal(size=(n_contrasts, m))
+    naive = rng.normal(size=n_contrasts)
+    if kind == "rank_deficient" and m > 1:
+        deltas[:, -1] = rng.normal() * deltas[:, 0]
+    elif kind == "duplicated":
+        rows = rng.integers(0, n_contrasts, size=n_contrasts)
+        deltas, naive = deltas[rows], naive[rows]
+    elif kind == "integer":
+        deltas, naive = np.round(deltas), np.round(naive)
+    elif kind == "zero_row":
+        deltas[0] = 0.0
+    raw = rng.normal(size=(m, m))
+    bank = ContrastBank(
+        deltas=deltas,
+        naive=naive,
+        sigma_y_given_t=1.3,
+        sigma_u_given_t=raw @ raw.T / m + 0.2 * np.eye(m),
+    )
+    g = _whitened(bank)
+    z_l2 = np.linalg.inv(_inv_sqrt(bank.sigma_u_given_t)) @ mcc_minimize(
+        bank, norm="l2", r2_cap=cap
+    ).gamma_star
+    for norm, order in (("l1", 1), ("linf", np.inf)):
+        res = mcc_minimize(bank, norm=norm, r2_cap=cap)
+        tol = 1e-9 * max(1.0, res.achieved_norm)
+        assert res.achieved_r2 <= cap * (1.0 + 1e-12)
+        assert 0.0 <= res.duality_gap <= tol
+        at_l2 = float(np.linalg.norm(bank.naive - g @ z_l2, order))
+        assert res.achieved_norm <= at_l2 + tol + 1e-12 * max(1.0, at_l2)
+
+
+@pytest.mark.parametrize(
+    "norm, deltas, naive",
+    [
+        (
+            "l1",
+            [[0, 2, 1], [2, 2, 0], [1, 0, 2], [0, 0, 0], [0, -1, -1], [0, 0, 1], [0, 0, 2]],
+            [0, 1, 0, 1, 0, -2, -1],
+        ),
+        (
+            "linf",
+            [[0, 0], [1, 1], [0, 0], [1, -1], [-1, 0], [-1, 0], [1, 2], [1, 1], [0, -1],
+             [3, -1]],
+            [0, -2, -1, 1, -1, -1, -1, 1, 0, 2],
+        ),
+    ],
+)
+def test_flat_optimal_face_is_certified(norm, deltas, naive):
+    # integer data whose optimum is a whole face: the barrier converges to
+    # its interior, where no sorted prefix of rows is a vertex, so the
+    # crossover must project the barrier point onto the face
+    bank = ContrastBank(
+        deltas=np.array(deltas, dtype=float),
+        naive=np.array(naive, dtype=float),
+        sigma_y_given_t=1.0,
+        sigma_u_given_t=np.eye(len(deltas[0])),
+    )
+    res = mcc_minimize(bank, norm=norm, r2_cap=1.0)
+    assert 0.0 <= res.duality_gap <= 1e-9 * max(1.0, res.achieved_norm)
+    z_lp = _lp_optimum(bank.naive, _whitened(bank), norm)
+    if float(z_lp @ z_lp) <= 1.0:
+        order = 1 if norm == "l1" else np.inf
+        oracle = float(np.linalg.norm(bank.naive - _whitened(bank) @ z_lp, order))
+        assert res.achieved_norm == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_all_norms_reparameterization_invariant(seed):
+    # (coef, Sigma) -> (A coef, A Sigma A') rotates the whitened problem, so
+    # every norm's optimum is unchanged
+    rng = np.random.default_rng(seed)
+    m, k = 3, 12
+    raw = rng.normal(size=(m, m))
+    cc = ConditionalConfounder(
+        coef=rng.normal(size=(m, k)), sigma_u_given_t=raw @ raw.T / m + 0.3 * np.eye(m)
+    )
+    outcome = GaussianOutcome(
+        tau_naive=rng.normal(size=k), intercept=0.0, sigma2_y_given_t=1.7
+    )
+    a = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+    bank = build_bank_unitwise(cc, None, outcome)
+    bank2 = build_bank_unitwise(cc.reparameterized(a), None, outcome)
+    for norm in ("l1", "l2", "linf"):
+        for cap in (0.05, 0.5, 1.0):
+            v1 = mcc_minimize(bank, norm=norm, r2_cap=cap).achieved_norm
+            v2 = mcc_minimize(bank2, norm=norm, r2_cap=cap).achieved_norm
+            assert v2 == pytest.approx(v1, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l2_secular_solution_is_the_constrained_minimizer(seed):
+    # the boundary solution satisfies (G'G + lam I) z = G'a with lam >= 0
+    # and ||z|| = r, and no point of the sphere does better
+    bank = _random_bank(200 + seed, n_contrasts=9, m=3)
+    g = _whitened(bank)
+    cap = 0.01
+    res = mcc_minimize(bank, norm="l2", r2_cap=cap)
+    z = np.linalg.inv(_inv_sqrt(bank.sigma_u_given_t)) @ res.gamma_star
+    assert res.lambda_star > 0.0
+    kkt = (g.T @ g + res.lambda_star * np.eye(3)) @ z - g.T @ bank.naive
+    assert np.linalg.norm(kkt) < 1e-10 * max(1.0, np.linalg.norm(g.T @ bank.naive))
+    assert float(z @ z) == pytest.approx(cap, rel=1e-12)
+    rng = np.random.default_rng(seed)
+    others = rng.normal(size=(3, 2000))
+    others *= math.sqrt(cap) / np.linalg.norm(others, axis=0)
+    values = np.linalg.norm(bank.naive[:, None] - g @ others, axis=0)
+    assert res.achieved_norm <= values.min() + 1e-12
