@@ -468,10 +468,10 @@ def _write_dataset(out_dir: str, stem: str, tm: TreatmentMatrix, y, truth, prov)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         for key, val in prov.items():
             fh.write(f"# {key}: {val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(tm.names() + ["y"])
-        for row, yv in zip(tm.data, y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(yv))])
+        csv.writer(fh).writerow(tm.names() + ["y"])
+        # float reprs never need quoting; "\r\n" is csv.writer's terminator
+        for row in np.column_stack([tm.data, y]).tolist():
+            fh.write(",".join(map(float.__repr__, row)) + "\r\n")
     truth_payload = {
         "b_true": truth.b_true,
         "sigma2_t_given_u": truth.sigma2_t_given_u,

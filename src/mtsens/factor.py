@@ -296,37 +296,45 @@ def _select_dim(treatments: TreatmentMatrix, cov, method: str) -> int:
         ratios = (lam[:-2] - lam[1:-1]) / lam[1:-1]
         return int(np.argmax(ratios)) + 1
     if method == "holdout":
-        return _holdout_dim(treatments.data, k)
+        return int(np.argmin(_holdout_scores(treatments.data))) + 1
     raise ValueError(f"unknown method {method!r}")
 
 
-def _holdout_dim(data: np.ndarray, k: int, folds: int = 5, seed: int = 0) -> int:
-    n = data.shape[0]
-    rng = np.random.default_rng(seed)
-    chunks = np.array_split(rng.permutation(n), folds)
-    m_grid = range(1, k)
+def _holdout_scores(data: np.ndarray, folds: int = 5, seed: int = 0) -> np.ndarray:
+    """Mean held-out per-entry Gaussian NLL of the PPCA fit for m = 1..k-1,
+    over row folds of the data."""
+    n, k = data.shape
     scores = np.zeros(k - 1)
-    for held in chunks:
+    for held in np.array_split(np.random.default_rng(seed).permutation(n), folds):
         mask = np.ones(n, dtype=bool)
         mask[held] = False
-        train, test = data[mask], data[held]
+        train = data[mask]
         mu = train.mean(axis=0)
-        cov = np.cov(train.T, bias=True)
-        lam, vec = eigh_desc(cov)
-        xc = test - mu
-        for i, m in enumerate(m_grid):
-            sigma2 = float(np.mean(lam[m:]))
-            if sigma2 <= 0:
-                scores[i] = np.inf
-                continue
-            gaps = np.maximum(lam[:m] - sigma2, 0.0)
-            b = vec[:, :m] * np.sqrt(gaps)
-            c = b @ b.T + sigma2 * np.eye(k)
-            sign, logdet = np.linalg.slogdet(c)
-            quad = np.einsum("ij,jk,ik->i", xc, np.linalg.inv(c), xc)
-            nll = 0.5 * (k * np.log(2 * np.pi) * len(held) + logdet * len(held) + quad.sum())
-            scores[i] += nll / (len(held) * k)
-    return int(np.argmin(scores)) + 1
+        lam, vec = eigh_desc(np.cov(train.T, bias=True))
+        scores += _fold_scores(lam, vec, data[held] - mu)
+    return scores
+
+
+def _fold_scores(lam: np.ndarray, vec: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Per-entry Gaussian NLL of the centred held-out rows xc under the PPCA
+    fit to training eigenpairs (lam descending, vec), for m = 1..k-1.
+
+    The m-factor covariance has eigenvalues lam_i on the leading m
+    eigenvectors (the mean of a descending tail never exceeds its head) and
+    sigma2_m = mean(lam[m:]) on the rest. Its log-determinant and the
+    quadratic form are sums over lam_i and the squared projections
+    (xc . v_i)^2, so prefix and suffix cumulative sums give every m at once.
+    sigma2_m <= 0 scores inf.
+    """
+    h, k = xc.shape
+    m = np.arange(1, k)
+    proj2 = ((xc @ vec) ** 2).sum(axis=0)
+    sigma2 = np.cumsum(lam[::-1])[::-1][1:] / (k - m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdet = np.cumsum(np.log(lam))[:-1] + (k - m) * np.log(sigma2)
+        quad = np.cumsum(proj2 / lam)[:-1] + np.cumsum(proj2[::-1])[::-1][1:] / sigma2
+        nll = 0.5 * (np.log(2 * np.pi) + logdet / k + quad / (h * k))
+    return np.where(sigma2 > 0, nll, np.inf)
 
 
 def conditional_confounder(fm: FactorModel) -> ConditionalConfounder:

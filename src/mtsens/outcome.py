@@ -5,12 +5,13 @@ the conditional CDF / quantile pair used by the copula machinery.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack, qr_multiply, solve_triangular
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateModelError,
@@ -20,6 +21,15 @@ from .errors import (
     SingularFitError,
 )
 from .factor import TreatmentMatrix, _read_json, _write_json
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _std_normal_pdf(x):
+    """Standard normal density in the expression scipy's normal distribution
+    evaluates, so the two agree bit for bit; a 0-d input gives a numpy scalar."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class BinaryOutcome:
     def mu_y(self, t) -> np.ndarray | float:
         """P(Y=1 | T=t) under the probit fit."""
         t = np.asarray(t, dtype=float)
-        return norm.cdf(self.probit_intercept + t @ self.probit_coef)
+        return ndtr(self.probit_intercept + t @ self.probit_coef)
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,7 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
 
     def nll(b):
         eta = x @ b
-        p = np.clip(norm.cdf(eta), 1e-12, 1 - 1e-12)
+        p = np.clip(ndtr(eta), 1e-12, 1 - 1e-12)
         return -float(y @ np.log(p) + (1 - y) @ np.log1p(-p))
 
     current = nll(beta)
@@ -191,8 +201,8 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
     half_norm = None
     for it in range(max_iter):
         eta = x @ beta
-        p = np.clip(norm.cdf(eta), 1e-12, 1 - 1e-12)
-        phi = norm.pdf(eta)
+        p = np.clip(ndtr(eta), 1e-12, 1 - 1e-12)
+        phi = _std_normal_pdf(eta)
         w = phi * phi / (p * (1 - p))
         score = x.T @ (phi * (y - p) / (p * (1 - p)))
         if np.max(np.abs(score)) < tol:
@@ -294,13 +304,13 @@ def conditional_cdf_quantile(model, t):
         sd = model.sigma()
 
         def cdf(y):
-            return norm.cdf((np.asarray(y, dtype=float) - mu) / sd)
+            return ndtr((np.asarray(y, dtype=float) - mu) / sd)
 
         def quantile(p):
             p = np.asarray(p, dtype=float)
             if np.any(p <= 0) or np.any(p >= 1):
                 raise ValueError("quantile argument must lie strictly inside (0,1)")
-            return mu + sd * norm.ppf(p)
+            return mu + sd * ndtri(p)
 
         return cdf, quantile
 

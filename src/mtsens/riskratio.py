@@ -15,8 +15,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from ._linalg import as_vector
 from .bounds import IgnoranceRegion, RobustnessValue
@@ -24,7 +23,7 @@ from .calibrate import gamma_from_signed_r2
 from .copula import CDF_CLAMP, SensitivitySpec
 from .errors import CalibrationError, DegenerateModelError, DimensionError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
-from .outcome import BinaryOutcome
+from .outcome import _SQRT_2PI, BinaryOutcome
 
 # Restarts polished by SLSQP in each direction.
 _N_POLISH = 4
@@ -33,19 +32,18 @@ _RV_RESTARTS = 32
 _RV_SCAN = 64
 # Largest (row, point) product one batched evaluation holds at once.
 _BLOCK = 1 << 20
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray) -> float:
     eta = float(bin_out.probit_intercept + t @ bin_out.probit_coef)
-    mu = norm.cdf(eta)
+    mu = ndtr(eta)
     if not (CDF_CLAMP < mu < 1 - CDF_CLAMP):
         warnings.warn(
             f"conditional success probability {mu:.3g} clamped away from "
             "{0, 1}; the risk ratio there is numerically degenerate",
             stacklevel=3,
         )
-        eta = float(norm.ppf(np.clip(mu, CDF_CLAMP, 1 - CDF_CLAMP)))
+        eta = float(ndtri(np.clip(mu, CDF_CLAMP, 1 - CDF_CLAMP)))
     return eta
 
 

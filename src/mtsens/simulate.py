@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ._linalg import as_vector, orthonormal_null_basis
 from .bounds import worst_case_bias
@@ -104,7 +104,7 @@ class SimTruth:
         total_sd = math.sqrt(
             self.sigma2_y_given_tu + float(self.gamma_true @ self.gamma_true)
         )
-        return float(norm.cdf(g / total_sd))
+        return float(ndtr(g / total_sd))
 
     def intervention_mean_mc(self, t, n_draws: int = 10**6, seed: int = 0) -> float:
         """Monte Carlo cross-check of intervention_mean over (U, eps)."""

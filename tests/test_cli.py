@@ -705,3 +705,27 @@ def test_console_script_version():
     )
     assert proc.returncode == 0
     assert "mtsens" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, because this one has long loaded scipy.stats
+    package_root = str(Path(mtsens.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy, scipy.linalg, scipy.optimize, scipy.special\n"
+        "if 'scipy.stats' in sys.modules:\n"
+        "    sys.exit('preloaded')\n"
+        "import mtsens, mtsens.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    if proc.stderr.strip() == "preloaded":
+        pytest.skip("this scipy loads scipy.stats from scipy.linalg, .special or .optimize")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

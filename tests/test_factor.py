@@ -25,6 +25,7 @@ from mtsens import (
     select_dim,
 )
 from mtsens._linalg import psd_roots
+from mtsens.factor import _fold_scores, _holdout_scores
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -170,6 +171,77 @@ def test_select_dim_holdout_two_factors():
     b = rng.normal(size=(6, 2)) * 2.0
     data = _simulate_factor_data(b, 1.0, n=3000, seed=6)
     assert select_dim(TreatmentMatrix(data), method="holdout") == 2
+
+
+def _fold_scores_reference(lam, vec, xc):
+    """Held-out per-entry NLL for m = 1..k-1 from the dense k x k PPCA
+    covariance, its slogdet and its inverse."""
+    h, k = xc.shape
+    out = np.empty(k - 1)
+    for i, m in enumerate(range(1, k)):
+        sigma2 = float(np.mean(lam[m:]))
+        if sigma2 <= 0:
+            out[i] = np.inf
+            continue
+        b = vec[:, :m] * np.sqrt(np.maximum(lam[:m] - sigma2, 0.0))
+        c = b @ b.T + sigma2 * np.eye(k)
+        _, logdet = np.linalg.slogdet(c)
+        quad = np.einsum("ij,jk,ik->i", xc, np.linalg.inv(c), xc).sum()
+        out[i] = 0.5 * (k * math.log(2 * math.pi) * h + logdet * h + quad) / (h * k)
+    return out
+
+
+def _assert_scores_match(ours, ref):
+    assert np.array_equal(np.isinf(ours), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert ours[finite] == pytest.approx(ref[finite], rel=1e-9)
+    # the pick minimizes the reference; only scores tied within rounding (a
+    # flat tail gives every m past it the same model) may trade places
+    low = ref.min()
+    assert ref[np.argmin(ours)] <= low + 1e-9 * abs(low)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=3, max_size=8),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([None, 0.0, 0.05, 1.0]),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fold_scores_match_dense_reference(values, n_flat, tail, h, seed):
+    lam = np.sort(values)[::-1]
+    k = lam.shape[0]
+    n_flat = min(n_flat, k - 1)
+    if tail is not None and n_flat:
+        # an exactly flat tail, at zero or at a positive level
+        lam[k - n_flat:] = min(tail, lam[k - n_flat - 1])
+    rng = np.random.default_rng(seed)
+    vec, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    xc = rng.normal(size=(h, k)) * np.sqrt(lam.max())
+    _assert_scores_match(_fold_scores(lam, vec, xc), _fold_scores_reference(lam, vec, xc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=40, max_value=200),
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_holdout_scores_match_dense_reference(n, k, m, isotropic, seed):
+    rng = np.random.default_rng(seed)
+    noise = np.ones(k) if isotropic else rng.uniform(0.3, 2.0, size=k)
+    data = rng.normal(size=(n, m)) @ rng.normal(size=(k, m)).T * 2.0
+    data += noise * rng.normal(size=(n, k))
+    ref = np.zeros(k - 1)
+    for held in np.array_split(np.random.default_rng(0).permutation(n), 5):
+        train = np.delete(data, held, axis=0)
+        lam, vec = np.linalg.eigh(np.cov(train.T, bias=True))
+        ref += _fold_scores_reference(lam[::-1], vec[:, ::-1], data[held] - train.mean(axis=0))
+    _assert_scores_match(_holdout_scores(data), ref)
+    assert select_dim(TreatmentMatrix(data), method="holdout") == np.argmin(_holdout_scores(data)) + 1
 
 
 def test_select_dim_flat_spectrum_rejected():

@@ -11,6 +11,7 @@ from mtsens import (
     BinaryOutcome,
     DimensionError,
     EmpiricalOutcome,
+    GaussianOutcome,
     PolynomialMeanFn,
     SeparationError,
     SingularFitError,
@@ -26,6 +27,7 @@ from mtsens import (
     save_outcome,
     SimTruth,
 )
+from mtsens.outcome import _std_normal_pdf
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -350,3 +352,74 @@ def test_fit_proxy_collinear_treatment_names_same_columns():
         fit_proxy(rng.normal(size=40), t, z)
     assert expected and exc.value.columns == expected
 
+
+
+# --- scipy.stats.norm replacements --------------------------------------------
+
+# finite values of every size, the probit tails, +-0, +-inf and NaN
+_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -38.5, 8.3, 1e200, -1e308, math.inf, -math.inf, math.nan]),
+)
+_PROBS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, math.nan]),
+)
+
+
+def _shapes(values):
+    """The values as a python float, a numpy scalar, a 0-d array and a 1-d array."""
+    return [values[0], np.float64(values[0]), np.array(values[0]), np.array(values)]
+
+
+def _assert_same_bits(ours, ref):
+    assert type(ours) is type(ref)
+    a, b = np.asarray(ours), np.asarray(ref)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(b)
+    assert np.array_equal(np.isnan(a), nan)
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REALS, min_size=1, max_size=12))
+def test_std_normal_pdf_is_scipy_norm_pdf_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _shapes(values):
+            _assert_same_bits(_std_normal_pdf(x), norm.pdf(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.lists(st.lists(_REALS, min_size=3, max_size=3), min_size=1, max_size=6),
+)
+def test_mu_y_is_scipy_norm_cdf_bit_for_bit(coef, intercept, rows):
+    out = BinaryOutcome(probit_coef=np.array(coef), probit_intercept=intercept, p_y1=0.5)
+    t = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arg in (t, t[0]):
+            ref = norm.cdf(out.probit_intercept + arg @ out.probit_coef)
+            _assert_same_bits(out.mu_y(arg), ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.lists(_REALS, min_size=1, max_size=12),
+    st.lists(_PROBS, min_size=1, max_size=12),
+)
+def test_gaussian_cdf_quantile_are_scipy_norm_bit_for_bit(intercept, sigma2, ys, ps):
+    model = GaussianOutcome(tau_naive=np.array([0.7, -1.3]), intercept=intercept,
+                            sigma2_y_given_t=sigma2)
+    t = np.array([0.25, -2.0])
+    cdf, quantile = conditional_cdf_quantile(model, t)
+    mu, sd = float(model.mean(t)), model.sigma()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in _shapes(ys):
+            _assert_same_bits(cdf(y), norm.cdf((np.asarray(y, dtype=float) - mu) / sd))
+        for p in _shapes(ps):
+            _assert_same_bits(quantile(p), mu + sd * norm.ppf(np.asarray(p, dtype=float)))
