@@ -31,7 +31,6 @@ from .calibrate import (
     gamma_from_signed_r2,
     implicit_r2,
     partial_r2_treatment,
-    r2_of_gamma,
 )
 from .copula import (
     CopulaSpec,
@@ -169,7 +168,6 @@ __all__ = [
     # calibrate
     "gamma_from_r2_direction",
     "gamma_from_signed_r2",
-    "r2_of_gamma",
     "partial_r2_treatment",
     "implicit_r2",
     "benchmark_table",

@@ -19,8 +19,8 @@ NEGATIVE_R2_WARN = 1e-6
 
 def gamma_from_r2_direction(r2: float, direction, sigma_u_given_t) -> SensitivitySpec:
     """gamma = sqrt(r2) Sigma^{-1/2} d for a unit direction d. The round
-    trip through r2_of_gamma reproduces r2. Non-unit directions are an
-    error, never silently renormalized."""
+    trip through SensitivitySpec.from_gamma reproduces r2. Non-unit
+    directions are an error, never silently renormalized."""
     return SensitivitySpec.from_r2_direction(r2, direction, sigma_u_given_t)
 
 
@@ -32,12 +32,6 @@ def gamma_from_signed_r2(signed_r2: float, direction, sigma_u_given_t) -> Sensit
     return SensitivitySpec.from_r2_direction(
         abs(signed_r2), sign * direction, sigma_u_given_t
     )
-
-
-def r2_of_gamma(gamma, sigma_u_given_t) -> float:
-    """gamma' Sigma gamma, the share of residual outcome variance the
-    confounder explains on the standardized scale."""
-    return SensitivitySpec.from_gamma(gamma, sigma_u_given_t).r2
 
 
 def _r2_ols(x: np.ndarray, y: np.ndarray) -> float:

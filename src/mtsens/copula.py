@@ -190,14 +190,14 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != sigma.shape[0]:
         raise DimensionError("q must have m entries in its last axis")
-    return _gaussian_density(gamma, sigma, ndtri(np.asarray(p, dtype=float)), q)
+    return _gaussian_density(gamma, sigma, ndtri(np.asarray(p, dtype=float)), ndtri(q))
 
 
-def _gaussian_density(gamma, sigma, z_y, q):
-    """gaussian_copula_density at z_y = Phi^{-1}(p), without the checks."""
-    z_u = ndtri(q)
+def _gaussian_density(gamma, sigma, z_y, z_u):
+    """gaussian_copula_density at z_y = Phi^{-1}(p) and the standardized
+    confounder z_u = Phi^{-1}(q), without the checks."""
     # ytilde | u is Gaussian with mean gamma'(u - mu_{u|t}) and variance
-    # 1 - gamma' Sigma gamma; u - mu recovered from q through the U margins
+    # 1 - gamma' Sigma gamma; u - mu recovered from z_u through the U margins
     sd_u = np.sqrt(np.diag(sigma))
     cond_mean = (z_u * sd_u) @ gamma
     resid_sd = math.sqrt(1.0 - float(gamma @ sigma @ gamma))
@@ -379,6 +379,12 @@ def intervention_mean_general(
     weights accumulate over blocks of whole rows, a few thousand (row, draw)
     pairs each, so scratch memory is m_draws x block, independent of the
     number of rows. A custom density is called once per block.
+
+    The Gaussian copula takes the standardized confounder draws
+    (u - mu_{u|t}) / sd_t as they are, so rows far from mu_{u|t} keep their
+    true density. A custom density needs uniforms: there each draw goes
+    through Phi, is clipped to [CDF_CLAMP, 1 - CDF_CLAMP], and a warning
+    counts the clipped values.
     """
     if m_draws < 1 or n_draws < 1:
         raise InputFormatError("m_draws and n_draws must be at least 1")
@@ -416,12 +422,13 @@ def intervention_mean_general(
         block = rows[start:start + step]
         zu = rng.standard_normal(size=(block.shape[0], n_draws, m))
         u = cc.mu_u_given_t(block)[:, None, :] + zu @ root.T
-        q = ndtr((u.reshape(-1, m) - mu_t) / sd_t)
-        clamped += _clamp_count(q)
-        q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
+        z_u = (u.reshape(-1, m) - mu_t) / sd_t
         if copula.kind == "gaussian":
-            cvals = _gaussian_density(copula.gamma, sigma, z_p, q[None])
+            cvals = _gaussian_density(copula.gamma, sigma, z_p, z_u[None])
         else:
+            q = ndtr(z_u)
+            clamped += _clamp_count(q)
+            q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
             cvals = np.asarray(
                 copula.density(np.repeat(p, q.shape[0]), np.tile(q, (m_draws, 1))),
                 dtype=float,

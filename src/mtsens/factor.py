@@ -172,10 +172,6 @@ class ConditionalConfounder:
         t = np.asarray(t, dtype=float)
         return (t - self.treatment_means) @ self.coef.T
 
-    def sigma_inv_sqrt(self) -> np.ndarray:
-        """Sigma^{-1/2}, the pseudo-inverse root when Sigma is singular."""
-        return self.roots.inv_root
-
     def reparameterized(self, a: np.ndarray) -> "ConditionalConfounder":
         """Equivalent representation (A coef, A Sigma A^T) for invertible A."""
         a = np.asarray(a, dtype=float)

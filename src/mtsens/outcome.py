@@ -132,21 +132,34 @@ class PolynomialMeanFn:
         return float(out[0]) if single else out
 
 
-def _lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Least-squares coefficients of y on the columns of x. Unless an unpivoted
-    QR certifies full rank, a pivoted QR decides, and SingularFitError names
-    the dependent columns if |R_ii| <= max|R_ii| * max(n, p) * eps."""
-    tol = max(x.shape) * np.finfo(float).eps
+def _certified_lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Least-squares coefficients of y on the columns of x from an unpivoted
+    QR, or None unless a dgecon condition estimate certifies full column
+    rank."""
+    n, p = x.shape
+    if n < p:
+        return None
+    tol = n * np.finfo(float).eps
     qty, r = qr_multiply(x, y, mode="right")
     # Pivoted R: min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)), and
     # rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a small
     # factor (Higham 1988): with 10x for it and 2x for rounding, rcond > 20 p
     # tol implies full rank. dgecon on R as LU factors (L = I) is ?trcon.
-    if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * x.shape[1] * tol:
+    if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * p * tol:
         return solve_triangular(r, qty)
+    return None
+
+
+def _lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
+    """Least-squares coefficients of y on the columns of x. Unless an unpivoted
+    QR certifies full rank, a pivoted QR decides, and SingularFitError names
+    the dependent columns if |R_ii| <= max|R_ii| * max(n, p) * eps."""
+    beta = _certified_lstsq(x, y)
+    if beta is not None:
+        return beta
     qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag.max() * tol))
+    rank = int(np.sum(diag > diag.max() * max(x.shape) * np.finfo(float).eps))
     if rank < x.shape[1]:
         labels = [names[i] for i in sorted(piv[rank:])]
         raise SingularFitError(
@@ -258,6 +271,17 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
 def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None) -> EmpiricalOutcome:
     """Flexible outcome fit: pluggable mean_fn or the built-in polynomial.
 
+    The polynomial regresses y on [1, t, t**2, ..., t**degree] per column and
+    keeps the minimum-norm least-squares coefficients, the solution
+    np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments) is
+    an exact copy of the column t_j, so only the distinct columns are solved,
+    by an unpivoted QR with a dgecon full-rank certificate, and each copy of
+    t_j gets an equal share of its coefficient: with 0/1 treatments the
+    degree-d polynomial is the linear fit with each coefficient split over
+    its d powers. When the certificate fails (a constant or duplicated
+    column, or a power equal to another column, as t**2 = -t on {0, -1}),
+    the full design goes to np.linalg.lstsq, an SVD.
+
     Residual variance uses the population convention (mean squared residual)
     since the effective degrees of freedom of a pluggable regressor are
     unknown.
@@ -269,13 +293,28 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     if mean_fn is None:
         if degree < 1:
             raise InputFormatError(f"polynomial degree must be at least 1, got {degree}")
-        t = treatments.data
-        x = np.hstack([np.ones((n, 1)), t] + [t**d for d in range(2, degree + 1)])
-        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        coef = beta[1:].reshape(degree, treatments.k).T
+        t, k = treatments.data, treatments.k
+        powers = [t**d for d in range(2, degree + 1)]
+        # dup[d - 2, j]: t_j**d is the column t_j itself
+        dup = np.array([np.all(pw == t, axis=0) for pw in powers], dtype=bool)
+        dup = dup.reshape(degree - 1, k)
+        x = np.hstack([np.ones((n, 1)), t] + [pw[:, ~c] for pw, c in zip(powers, dup)])
+        beta = _certified_lstsq(x, y)
+        if beta is None:
+            x = np.hstack([np.ones((n, 1)), t] + powers)
+            beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+            coef = beta[1:].reshape(degree, k).T
+        else:
+            # every solution has the same sum over the copies of t_j; the
+            # equal split is the one of least norm
+            share = beta[1:k + 1] / (1 + dup.sum(axis=0))
+            higher = np.zeros(dup.shape)
+            higher[~dup] = beta[k + 1:]
+            coef = np.vstack([share, np.where(dup, share, higher)]).T
         mean_fn = PolynomialMeanFn(degree=degree, intercept=float(beta[0]), coef=coef)
-    fitted = np.asarray(mean_fn(treatments.data), dtype=float).reshape(-1)
-    resid = y - fitted
+        resid = y - x @ beta
+    else:
+        resid = y - np.asarray(mean_fn(treatments.data), dtype=float).reshape(-1)
     sigma2 = float(np.mean(resid**2))
     if sigma2 <= 0:
         raise DegenerateModelError("empirical fit has zero residual variance")
@@ -309,7 +348,7 @@ def conditional_cdf_quantile(model, t):
         def quantile(p):
             p = np.asarray(p, dtype=float)
             if np.any(p <= 0) or np.any(p >= 1):
-                raise ValueError("quantile argument must lie strictly inside (0,1)")
+                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
             return mu + sd * ndtri(p)
 
         return cdf, quantile
@@ -327,7 +366,7 @@ def conditional_cdf_quantile(model, t):
         def quantile(p):
             p = np.asarray(p, dtype=float)
             if np.any(p <= 0) or np.any(p >= 1):
-                raise ValueError("quantile argument must lie strictly inside (0,1)")
+                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
             return mu + _quantile_type7(resid, p)
 
         return cdf, quantile
@@ -342,7 +381,7 @@ def conditional_cdf_quantile(model, t):
         def quantile(p):
             p = np.asarray(p, dtype=float)
             if np.any(p <= 0) or np.any(p >= 1):
-                raise ValueError("quantile argument must lie strictly inside (0,1)")
+                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
             return (p > 1.0 - p1).astype(float)
 
         return cdf, quantile
@@ -409,7 +448,7 @@ def load_outcome(path):
         if kind == "empirical":
             mean = payload["mean"]
             if mean.get("type") != "polynomial":
-                raise ValueError(f"unknown mean type {mean.get('type')!r}")
+                raise InputFormatError(f"unknown mean type {mean.get('type')!r}")
             fn = PolynomialMeanFn(
                 degree=int(mean["degree"]),
                 intercept=float(mean["intercept"]),
@@ -422,6 +461,6 @@ def load_outcome(path):
                 ),
                 sigma2_y_given_t=float(payload["sigma2_y_given_t"]),
             )
-        raise ValueError(f"unknown outcome kind {kind!r}")
+        raise InputFormatError(f"unknown outcome kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed outcome file {path}: {exc}") from exc

@@ -9,6 +9,7 @@ from mtsens import (
     BinaryOutcome,
     CalibrationError,
     DimensionError,
+    SensitivitySpec,
     TreatmentMatrix,
     benchmark_table,
     fit_probit,
@@ -16,7 +17,6 @@ from mtsens import (
     gamma_from_signed_r2,
     implicit_r2,
     partial_r2_treatment,
-    r2_of_gamma,
 )
 
 SIGMA_SCALAR = np.array([[0.2]])
@@ -37,7 +37,7 @@ def test_gamma_r2_round_trip():
     d /= np.linalg.norm(d)
     for r2 in (0.0, 0.2, 0.9, 1.0):
         spec = gamma_from_r2_direction(r2, d, sigma)
-        assert r2_of_gamma(spec.gamma, sigma) == pytest.approx(r2, abs=1e-12)
+        assert SensitivitySpec.from_gamma(spec.gamma, sigma).r2 == pytest.approx(r2, abs=1e-12)
 
 
 def test_gamma_rejects_non_unit_direction():
@@ -49,12 +49,12 @@ def test_signed_r2_flips_direction():
     pos = gamma_from_signed_r2(0.36, np.array([1.0]), SIGMA_SCALAR)
     neg = gamma_from_signed_r2(-0.36, np.array([1.0]), SIGMA_SCALAR)
     assert neg.gamma[0] == pytest.approx(-pos.gamma[0], abs=1e-12)
-    assert r2_of_gamma(neg.gamma, SIGMA_SCALAR) == pytest.approx(0.36, abs=1e-12)
+    assert SensitivitySpec.from_gamma(neg.gamma, SIGMA_SCALAR).r2 == pytest.approx(0.36, abs=1e-12)
 
 
 def test_r2_of_gamma_rejects_excess():
     with pytest.raises(CalibrationError):
-        r2_of_gamma(np.array([3.0]), SIGMA_SCALAR)
+        SensitivitySpec.from_gamma(np.array([3.0]), SIGMA_SCALAR)
 
 
 def test_partial_r2_exact_fit_column():

@@ -630,6 +630,21 @@ def test_missing_models_dir_exit_2(tmp_path, capsys):
     assert "error" in payload
 
 
+def test_unknown_outcome_kind_exit_2(linear_models, tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("confounder.json", "outcome.json"):
+        (models / name).write_text((linear_models["models"] / name).read_text())
+    doc = json.loads((models / "outcome.json").read_text())
+    doc["kind"] = "lognormal"
+    (models / "outcome.json").write_text(json.dumps(doc))
+    rc, _, err = _run(["bounds", "--models", str(models), "--contrast", "e1"], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InputFormatError"
+    assert "unknown outcome kind 'lognormal'" in payload["message"]
+
+
 def test_bad_grid_spec_exit_2(linear_models, tmp_path, capsys):
     out = tmp_path / "out.json"
     rc, _, err = _run(

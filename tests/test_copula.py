@@ -443,7 +443,12 @@ def test_general_estimator_warns_on_clamped_confounder_cdf(monkeypatch):
     assert not [w for w in caught if "clamping" in str(w.message)]
     # mu_{u|t} far from every row's confounder mean puts q at 0 or 1
     far = np.array([1e3, 0.0, 0.0, 0.0])
+    custom = CopulaSpec("custom", density=_fgm_first)
     with pytest.warns(UserWarning, match="400 of 400 copula draws hit the CDF clamping bounds"):
+        intervention_mean_general(far, custom, cc, outcome, data.treatments, **kwargs)
+    # the Gaussian copula reads the standardized draws without a CDF
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         intervention_mean_general(far, copula, cc, outcome, data.treatments, **kwargs)
 
 
@@ -480,13 +485,19 @@ def _general_reference(t, copula, cc, outcome, observed, m_draws, n_draws, seed)
     zu = rng.standard_normal(size=(n, n_draws, m))
     u = cc.mu_u_given_t(rows)[:, None, :] + zu @ cc.roots.root.T
     sd = np.sqrt(np.diag(cc.sigma_u_given_t))
-    q = norm.cdf((u.reshape(n * n_draws, m) - cc.mu_u_given_t(t)) / sd)
-    q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
-    pp, qq = np.repeat(p, n * n_draws), np.tile(q, (m_draws, 1))
+    z = (u.reshape(n * n_draws, m) - cc.mu_u_given_t(t)) / sd
+    pp = np.repeat(p, n * n_draws)
     if copula.kind == "gaussian":
-        cvals = gaussian_copula_density(copula.gamma, cc.sigma_u_given_t, pp, qq)
+        # f(ytilde | u) / f(ytilde) at the unclamped z: ytilde | u is
+        # N(gamma'(u - mu_{u|t}), 1 - gamma' Sigma gamma)
+        gamma = copula.gamma
+        z_y = norm.ppf(pp)
+        cond_mean = np.tile(z * sd, (m_draws, 1)) @ gamma
+        resid_sd = math.sqrt(1.0 - gamma @ cc.sigma_u_given_t @ gamma)
+        cvals = np.exp(norm.logpdf(z_y, cond_mean, resid_sd) - norm.logpdf(z_y))
     else:
-        cvals = copula.density(pp, qq)
+        q = np.clip(norm.cdf(z), CDF_CLAMP, 1 - CDF_CLAMP)
+        cvals = copula.density(pp, np.tile(q, (m_draws, 1)))
     w = cvals.reshape(m_draws, n * n_draws).mean(axis=1)
     return float(np.mean(y * w))
 

@@ -378,8 +378,8 @@ def test_whitened_shift_is_reparameterization_invariant(seed):
     raw = rng.normal(size=(2, 2))
     a = raw @ raw.T + 0.3 * np.eye(2)
     cc2 = cc.reparameterized(a)
-    base = np.linalg.norm(cc.sigma_inv_sqrt() @ mu_delta(cc, c))
-    moved = np.linalg.norm(cc2.sigma_inv_sqrt() @ mu_delta(cc2, c))
+    base = np.linalg.norm(cc.roots.inv_root @ mu_delta(cc, c))
+    moved = np.linalg.norm(cc2.roots.inv_root @ mu_delta(cc2, c))
     assert moved == pytest.approx(base, rel=1e-8)
 
 
@@ -411,7 +411,7 @@ def test_replace_refactorizes_sigma():
     cc = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([0.5, 0.2]))
     moved = dataclasses.replace(cc, coef=2.0 * np.eye(2))
     assert moved.roots is not cc.roots
-    assert moved.sigma_inv_sqrt() == pytest.approx(cc.sigma_inv_sqrt(), abs=1e-15)
+    assert moved.roots.inv_root == pytest.approx(cc.roots.inv_root, abs=1e-15)
     singular = dataclasses.replace(cc, sigma_u_given_t=np.diag([0.5, 0.0]))
     assert singular.rank == 1 and not singular.full_rank()
     assert singular.roots.null == pytest.approx(np.array([[0.0], [1.0]]), abs=1e-15)

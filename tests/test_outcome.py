@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr
 from scipy.stats import norm
@@ -12,6 +12,7 @@ from mtsens import (
     DimensionError,
     EmpiricalOutcome,
     GaussianOutcome,
+    InputFormatError,
     PolynomialMeanFn,
     SeparationError,
     SingularFitError,
@@ -209,6 +210,94 @@ def test_polynomial_mean_fn_layout():
     )
     t = np.array([3.0, 2.0])
     assert fn(t) == pytest.approx(1.0 + 6.0 + 0.5 * 9 - 4.0, abs=1e-12)
+
+
+def _polynomial_design(t, degree):
+    n = t.shape[0]
+    return np.hstack([np.ones((n, 1)), t] + [t**d for d in range(2, degree + 1)])
+
+
+def _treatment_column(rng, kind, n):
+    if kind == "binary":
+        return rng.integers(0, 2, size=n).astype(float)
+    if kind == "ternary":
+        return rng.integers(0, 3, size=n).astype(float)
+    return rng.normal(size=n)
+
+
+@st.composite
+def _polynomial_fits(draw):
+    """Treatments that are 0/1, {0, 1, 2}, continuous or a mix of these,
+    sometimes with a duplicated column or a {0, -1} column, where the
+    distinct design is rank deficient."""
+    n = draw(st.integers(20, 120))
+    k = draw(st.integers(1, 6))
+    degree = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["binary", "ternary", "continuous"]
+    kind = draw(st.sampled_from(kinds + ["mixed"]))
+    cols = [_treatment_column(rng, rng.choice(kinds) if kind == "mixed" else kind, n)
+            for _ in range(k)]
+    t = np.column_stack(cols)
+    extra = draw(st.sampled_from([None, "duplicate", "negative"]))
+    if extra == "duplicate":
+        t = np.column_stack([t, t[:, rng.integers(k)]])
+    elif extra == "negative":
+        t = np.column_stack([t, -rng.integers(0, 2, size=n).astype(float)])
+    y = t @ rng.normal(size=t.shape[1]) + (t**2) @ rng.normal(size=t.shape[1])
+    return t, y + rng.normal(size=n), degree
+
+
+def _example_fit(extra):
+    rng = np.random.default_rng(5)
+    t = rng.integers(0, 2, size=(40, 3)).astype(float)
+    t[:, 2] = t[:, 0] if extra == "duplicate" else -t[:, 2]
+    return t, t.sum(axis=1) + rng.normal(size=40), 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_fits())
+@example(_example_fit("duplicate"))
+@example(_example_fit("negative"))
+def test_fit_empirical_is_the_min_norm_lstsq_fit(fit):
+    t, y, degree = fit
+    x = _polynomial_design(t, degree)
+    beta = np.linalg.lstsq(x, y, rcond=None)[0]
+    out = fit_empirical(TreatmentMatrix(t), y, degree=degree)
+    got = np.concatenate([[out.mean_fn.intercept], out.mean_fn.coef.T.reshape(-1)])
+    resid = np.sort(y - x @ beta)
+    # the distinct columns: 1, t and every t_j**d that is not t_j
+    distinct = 1 + t.shape[1] + sum(
+        int(np.sum(~np.all(t**d == t, axis=0))) for d in range(2, degree + 1)
+    )
+    if np.linalg.matrix_rank(x) < distinct:
+        # no certificate: np.linalg.lstsq on the full design, unchanged
+        assert got.tobytes() == beta.tobytes()
+    scale = max(1.0, float(np.max(np.abs(beta))))
+    np.testing.assert_allclose(got, beta, rtol=1e-10, atol=1e-10 * scale)
+    np.testing.assert_allclose(out.residual_quantiles, resid, rtol=1e-10,
+                               atol=1e-10 * max(1.0, float(np.max(np.abs(y)))))
+    assert out.sigma2_y_given_t == pytest.approx(float(np.mean(resid**2)), rel=1e-10)
+    # off the 0/1 points the split over the copies of t_j matters
+    half = np.full(t.shape[1], 0.5)
+    expected = float(_polynomial_design(half[None], degree)[0] @ beta)
+    assert out.mean(half) == pytest.approx(expected, rel=1e-10, abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "empirical", "probit"])
+def test_quantile_outside_unit_interval_is_input_format_error(kind):
+    rng = np.random.default_rng(14)
+    t = rng.normal(size=(60, 2))
+    if kind == "gaussian":
+        model = fit_linear(TreatmentMatrix(t), rng.normal(size=60))
+    elif kind == "empirical":
+        model = fit_empirical(TreatmentMatrix(t), rng.normal(size=60), degree=2)
+    else:
+        model = BinaryOutcome(probit_coef=np.ones(2), probit_intercept=0.0, p_y1=0.5)
+    _, quantile = conditional_cdf_quantile(model, np.zeros(2))
+    for p in (0.0, 1.0, np.array([0.5, 1.5])):
+        with pytest.raises(InputFormatError, match="strictly inside"):
+            quantile(p)
 
 
 # ------------------------------------------------ least squares by one QR
