@@ -4,15 +4,20 @@ Every square root, inverse root and rank of a symmetric PSD matrix comes
 from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
-space.
+space. Every least-squares fit comes from qr_lstsq: an unpivoted QR that a
+dgecon estimate certifies as full rank, else a pivoted QR with one rank rule
+(|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and fit_proxy (through
+full_rank_lstsq), fit_empirical, benchmark_table and partial_r2_treatment
+all call it.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack, qr_multiply, solve_triangular
 
-from .errors import DimensionError, InputFormatError
+from .errors import DimensionError, InputFormatError, SingularFitError
 
 # Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
@@ -29,15 +34,10 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    a = check_square(a)
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
     return 0.5 * (a + a.T)
 
 
@@ -114,3 +114,50 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
         if v[i, j] < 0:
             v[:, j] = -v[:, j]
     return v
+
+
+class QrLstsq(NamedTuple):
+    """Least-squares fit of y on the columns of x from one QR, x[:, piv] = QR.
+    The columns piv[:rank] are a basis and beta is the basic solution, zero
+    on the dependent columns piv[rank:]. certified marks the unpivoted QR
+    with a full-rank certificate (piv the identity, rank = p)."""
+
+    beta: np.ndarray
+    r: np.ndarray
+    piv: np.ndarray
+    rank: int
+    certified: bool
+
+
+def qr_lstsq(x: np.ndarray, y: np.ndarray) -> QrLstsq:
+    n, p = x.shape
+    eps = np.finfo(float).eps
+    if n >= p:
+        tol = n * eps
+        qty, r = qr_multiply(x, y, mode="right")
+        # Pivoted R: min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)),
+        # and rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a
+        # small factor (Higham 1988): with 10x for it and 2x for rounding,
+        # rcond > 20 p tol implies full rank. dgecon on R as LU factors
+        # (L = I) is ?trcon.
+        if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * p * tol:
+            return QrLstsq(solve_triangular(r, qty), r, np.arange(p), p, True)
+    qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag.max() * max(n, p) * eps))
+    beta = np.zeros(p)
+    beta[piv[:rank]] = solve_triangular(r[:rank, :rank], qty[:rank])
+    return QrLstsq(beta, r, piv, rank, False)
+
+
+def full_rank_lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
+    """Coefficients of y on the columns of x by qr_lstsq. SingularFitError
+    names the dependent columns of a rank-deficient x."""
+    fit = qr_lstsq(x, y)
+    if fit.rank < x.shape[1]:
+        labels = [names[i] for i in sorted(fit.piv[fit.rank:])]
+        raise SingularFitError(
+            f"design matrix is rank deficient; dependent columns: {labels}",
+            columns=labels,
+        )
+    return fit.beta

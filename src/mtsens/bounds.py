@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import orthonormal_null_basis
 from .copula import SensitivitySpec
-from .errors import CalibrationError, DegenerateModelError
+from .errors import CalibrationError, DegenerateModelError, InputFormatError
 from .factor import ConditionalConfounder, Contrast, FactorModel, mu_delta
 
 REASON_ROW_SPACE = (
@@ -48,13 +48,13 @@ class IgnoranceRegion:
             raise CalibrationError(f"r2_cap = {self.r2_cap:.6g} outside [0, 1]")
         if self.bounded:
             if not (self.lower <= self.naive <= self.upper):
-                raise ValueError(
+                raise InputFormatError(
                     f"region [{self.lower:.6g}, {self.upper:.6g}] does not "
                     f"contain the naive value {self.naive:.6g}"
                 )
         else:
             if math.isfinite(self.lower) or math.isfinite(self.upper):
-                raise ValueError("unbounded region must have infinite endpoints")
+                raise InputFormatError("unbounded region must have infinite endpoints")
 
     def width(self) -> float:
         return self.upper - self.lower

@@ -8,13 +8,16 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._linalg import RANK_RTOL, as_vector
+from ._linalg import as_vector, qr_lstsq
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
 from .outcome import BinaryOutcome, fit_probit
 
 NEGATIVE_R2_WARN = 1e-6
+EXACT_RESTRICTED_FIT = (
+    "restricted fit already explains the outcome exactly; partial R2 is undefined"
+)
 
 
 def gamma_from_r2_direction(r2: float, direction, sigma_u_given_t) -> SensitivitySpec:
@@ -34,48 +37,53 @@ def gamma_from_signed_r2(signed_r2: float, direction, sigma_u_given_t) -> Sensit
     )
 
 
-def _r2_ols(x: np.ndarray, y: np.ndarray) -> float:
-    """In-sample R2 of an intercept OLS fit of y on the columns of x."""
-    n = y.shape[0]
-    design = np.column_stack([np.ones(n), x]) if x.size else np.ones((n, 1))
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
+def _outcome(treatments: TreatmentMatrix, y):
+    """y as a vector with one value per row, and its total sum of squares."""
+    y = as_vector(y, "y")
+    if y.shape[0] != treatments.n:
+        raise DimensionError("y length must match the number of rows")
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0.0:
         raise CalibrationError("outcome has zero variance")
-    return 1.0 - float(resid @ resid) / tss
+    return y, tss
 
 
-def _resolve_columns(k: int, j: Iterable[int] | int) -> list[int]:
+def _fit_rss(t: np.ndarray, y: np.ndarray):
+    """The design [1, t], its qr_lstsq fit of y and the residual sum of
+    squares."""
+    x = np.column_stack([np.ones(t.shape[0]), t])
+    fit = qr_lstsq(x, y)
+    resid = y - x @ fit.beta
+    return x, fit, float(resid @ resid)
+
+
+def _rest_columns(k: int, j: Iterable[int] | int) -> list[int]:
+    """The columns outside the nonempty column set j."""
     cols = [j] if isinstance(j, (int, np.integer)) else list(j)
     if not cols:
         raise DimensionError("column set must be nonempty")
     for col in cols:
         if not (0 <= col < k):
             raise DimensionError(f"column index {col} outside [0, {k})")
-    return sorted(set(int(c) for c in cols))
+    return [c for c in range(k) if c not in cols]
 
 
 def partial_r2_treatment(treatments: TreatmentMatrix, y, j) -> float:
     """Partial R2 of treatment columns j on the outcome after controlling
-    for all remaining columns: (R2_full - R2_rest) / (1 - R2_rest).
+    for all remaining columns: (RSS_rest - RSS_full) / RSS_rest, which is
+    (R2_full - R2_rest) / (1 - R2_rest), with both intercept fits by
+    qr_lstsq.
 
     Tiny negative values from floating-point rounding are clipped to zero;
     larger ones draw a warning first.
     """
-    y = as_vector(y, "y")
-    if y.shape[0] != treatments.n:
-        raise DimensionError("y length must match the number of rows")
-    cols = _resolve_columns(treatments.k, j)
-    rest = [c for c in range(treatments.k) if c not in cols]
-    r2_full = _r2_ols(treatments.data, y)
-    r2_rest = _r2_ols(treatments.data[:, rest], y)
-    if 1.0 - r2_rest < 1e-12:
-        raise CalibrationError(
-            "restricted fit already explains the outcome exactly; partial R2 "
-            "is undefined"
-        )
-    partial = (r2_full - r2_rest) / (1.0 - r2_rest)
+    rest = _rest_columns(treatments.k, j)
+    y, tss = _outcome(treatments, y)
+    rss_full = _fit_rss(treatments.data, y)[2]
+    rss_rest = _fit_rss(treatments.data[:, rest], y)[2]
+    if rss_rest < 1e-12 * tss:
+        raise CalibrationError(EXACT_RESTRICTED_FIT)
+    partial = (rss_rest - rss_full) / rss_rest
     if partial < 0.0:
         if partial < -NEGATIVE_R2_WARN:
             warnings.warn(
@@ -107,15 +115,11 @@ def implicit_r2(
     r2_full = _implicit_r2_of_fit(treatments.data, probit_model)
     if j is None:
         return r2_full
-    cols = _resolve_columns(treatments.k, j)
-    rest = [c for c in range(treatments.k) if c not in cols]
-    if not rest:
-        r2_rest = 0.0
-    else:
-        restricted = fit_probit(
-            TreatmentMatrix(treatments.data[:, rest]), y_binary
-        )
-        r2_rest = _implicit_r2_of_fit(treatments.data[:, rest], restricted)
+    rest = _rest_columns(treatments.k, j)
+    r2_rest = 0.0
+    if rest:
+        t_rest = treatments.data[:, rest]
+        r2_rest = _implicit_r2_of_fit(t_rest, fit_probit(TreatmentMatrix(t_rest), y_binary))
     if 1.0 - r2_rest < 1e-12:
         raise CalibrationError(
             "restricted probit already has implicit R2 of 1; partial value "
@@ -129,33 +133,35 @@ def benchmark_table(
     treatments: TreatmentMatrix, y, names: Sequence[str] | None = None
 ) -> list[tuple[str, float]]:
     """Per-column benchmark: partial R2 of each treatment given the rest,
-    from one QR of X = [1, T]. Dropping column j raises the full RSS by
-    beta_j^2 / V_jj, V = (X'X)^{-1} = R^{-1} R^{-T}, so partial R2 is
-    (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) = t_j^2 / (t_j^2 + df)
-    (Cinelli & Hazlett 2020). A rank-deficient X (some |R_jj| <= RANK_RTOL
-    max |R_ii|) goes through partial_r2_treatment column by column. Feeds
-    the calibrate CLI's TSV output."""
+    from one qr_lstsq of X = [1, T], at any rank (Cinelli & Hazlett 2020).
+    Dropping a basis column j raises the full RSS by beta_j^2 / V_jj, with
+    V = R11^{-1} R11^{-T} over the basis, so partial R2 is
+    (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) = t_j^2 / (t_j^2 + df). A
+    column outside the basis scores 0, and so does a basis column c that a
+    dependent column i needs, |W_ci| ||x_c|| / ||x_i|| > max(n, p) eps kappa
+    with W = R11^{-1} R12 and kappa the condition number of the basis at
+    unit column norms: dropping either leaves the span of X unchanged.
+    Feeds the calibrate CLI's TSV output."""
     names = list(names) if names is not None else treatments.names()
     if len(names) != treatments.k:
         raise DimensionError("names length must match the number of columns")
-    y = as_vector(y, "y")
-    if y.shape[0] != treatments.n:
-        raise DimensionError("y length must match the number of rows")
-    design = np.column_stack([np.ones(treatments.n), treatments.data])
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if r.shape[0] < r.shape[1] or diag.min() <= RANK_RTOL * diag.max():
-        return [(nm, partial_r2_treatment(treatments, y, j)) for j, nm in enumerate(names)]
-    qty = q.T @ y
-    rss = float(np.sum((y - q @ qty) ** 2))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
-        raise CalibrationError("outcome has zero variance")
-    r_inv = solve_triangular(r, np.eye(r.shape[0]))[1:]
-    drop = (r_inv @ qty) ** 2 / np.sum(r_inv**2, axis=1)
+    y, tss = _outcome(treatments, y)
+    x, fit, rss = _fit_rss(treatments.data, y)
+    rank, basis, dependent = fit.rank, fit.piv[:fit.rank], fit.piv[fit.rank:]
+    r_inv = solve_triangular(fit.r[:rank, :rank], np.eye(rank))
+    v_diag = np.sum(r_inv**2, axis=1)
+    drop = np.zeros(x.shape[1])
+    drop[basis] = fit.beta[basis] ** 2 / v_diag
+    if dependent.size:
+        norms = np.linalg.norm(x, axis=0)
+        # the rounding error of W grows with the condition number of the
+        # basis with unit-norm columns; in Frobenius norm it is
+        # sqrt(rank * sum_j ||x_j||^2 V_jj)
+        kappa = np.sqrt(rank * np.sum(norms[basis] ** 2 * v_diag))
+        w = np.abs(r_inv @ fit.r[:rank, rank:]) * norms[basis, None]
+        needed = w > max(x.shape) * np.finfo(float).eps * kappa * norms[dependent]
+        drop[basis[needed.any(axis=1)]] = 0.0
+    drop = drop[1:]
     if np.any(rss + drop < 1e-12 * tss):
-        raise CalibrationError(
-            "restricted fit already explains the outcome exactly; partial R2 "
-            "is undefined"
-        )
+        raise CalibrationError(EXACT_RESTRICTED_FIT)
     return list(zip(names, (drop / (drop + rss)).tolist()))

@@ -23,10 +23,8 @@ from . import __version__
 from ._linalg import as_vector
 from .bounds import _check_r2, ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
-from .copula import SensitivitySpec
 from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
 from .factor import (
-    ConditionalConfounder,
     Contrast,
     TreatmentMatrix,
     _fit_ppca,
@@ -37,7 +35,6 @@ from .factor import (
     conditional_confounder,
     fit_ppca,
     load_confounder,
-    load_factor_model,
     save_confounder,
     save_factor_model,
 )

@@ -38,7 +38,7 @@ class TreatmentMatrix:
         if k < 1:
             raise DimensionError("need at least 1 treatment column")
         if not np.all(np.isfinite(data)):
-            raise ValueError("treatment data contains non-finite entries")
+            raise InputFormatError("treatment data contains non-finite entries")
         if self.column_names is not None and len(self.column_names) != k:
             raise DimensionError(
                 f"{len(self.column_names)} column names for {k} columns"
@@ -136,11 +136,11 @@ class ConditionalConfounder:
             )
         scale = float(np.max(np.abs(sigma))) if sigma.size else 0.0
         if scale > 0 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
-            raise ValueError("sigma_u_given_t is not symmetric within tolerance")
+            raise DegenerateModelError("sigma_u_given_t is not symmetric within tolerance")
         sigma = symmetrize(sigma)
         roots = psd_roots(sigma)
         if roots.eigvals.min() < -1e-12 * max(scale, 1.0):
-            raise ValueError(
+            raise DegenerateModelError(
                 f"sigma_u_given_t has negative eigenvalue {roots.eigvals.min():.3e}"
             )
         means = self.treatment_means
@@ -293,7 +293,7 @@ def _select_dim(treatments: TreatmentMatrix, cov, method: str) -> int:
         return int(np.argmax(ratios)) + 1
     if method == "holdout":
         return int(np.argmin(_holdout_scores(treatments.data))) + 1
-    raise ValueError(f"unknown method {method!r}")
+    raise InputFormatError(f"unknown method {method!r}")
 
 
 def _holdout_scores(data: np.ndarray, folds: int = 5, seed: int = 0) -> np.ndarray:

@@ -7,19 +7,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, qr_multiply, solve_triangular
 from scipy.special import ndtr, ndtri
 
-from .errors import (
-    DegenerateModelError,
-    DimensionError,
-    InputFormatError,
-    SeparationError,
-    SingularFitError,
-)
+from ._linalg import full_rank_lstsq, qr_lstsq
+from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
 from .factor import TreatmentMatrix, _read_json, _write_json
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -132,43 +126,6 @@ class PolynomialMeanFn:
         return float(out[0]) if single else out
 
 
-def _certified_lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Least-squares coefficients of y on the columns of x from an unpivoted
-    QR, or None unless a dgecon condition estimate certifies full column
-    rank."""
-    n, p = x.shape
-    if n < p:
-        return None
-    tol = n * np.finfo(float).eps
-    qty, r = qr_multiply(x, y, mode="right")
-    # Pivoted R: min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)), and
-    # rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a small
-    # factor (Higham 1988): with 10x for it and 2x for rounding, rcond > 20 p
-    # tol implies full rank. dgecon on R as LU factors (L = I) is ?trcon.
-    if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * p * tol:
-        return solve_triangular(r, qty)
-    return None
-
-
-def _lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Least-squares coefficients of y on the columns of x. Unless an unpivoted
-    QR certifies full rank, a pivoted QR decides, and SingularFitError names
-    the dependent columns if |R_ii| <= max|R_ii| * max(n, p) * eps."""
-    beta = _certified_lstsq(x, y)
-    if beta is not None:
-        return beta
-    qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag.max() * max(x.shape) * np.finfo(float).eps))
-    if rank < x.shape[1]:
-        labels = [names[i] for i in sorted(piv[rank:])]
-        raise SingularFitError(
-            f"design matrix is rank deficient; dependent columns: {labels}",
-            columns=labels,
-        )
-    return solve_triangular(r, qty)[np.argsort(piv)]
-
-
 def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
     """Ordinary least squares of y on the treatments, with intercept."""
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -178,7 +135,7 @@ def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
     x = np.column_stack([np.ones(n), treatments.data])
-    beta = _lstsq(x, y, ["intercept"] + treatments.names())
+    beta = full_rank_lstsq(x, y, ["intercept"] + treatments.names())
     resid = y - x @ beta
     sigma2 = float(resid @ resid) / (n - k - 1)
     scale = max(float(np.var(y)), 1.0)
@@ -273,14 +230,11 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
 
     The polynomial regresses y on [1, t, t**2, ..., t**degree] per column and
     keeps the minimum-norm least-squares coefficients, the solution
-    np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments) is
-    an exact copy of the column t_j, so only the distinct columns are solved,
-    by an unpivoted QR with a dgecon full-rank certificate, and each copy of
-    t_j gets an equal share of its coefficient: with 0/1 treatments the
-    degree-d polynomial is the linear fit with each coefficient split over
-    its d powers. When the certificate fails (a constant or duplicated
-    column, or a power equal to another column, as t**2 = -t on {0, -1}),
-    the full design goes to np.linalg.lstsq, an SVD.
+    np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments)
+    copies the column t_j, so qr_lstsq solves only the distinct columns and
+    each copy of t_j gets an equal share of its coefficient. Without its
+    full-rank certificate (a constant or duplicated column, or t**2 = -t on
+    {0, -1}) the full design goes to np.linalg.lstsq, an SVD.
 
     Residual variance uses the population convention (mean squared residual)
     since the effective degrees of freedom of a pluggable regressor are
@@ -299,18 +253,19 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
         dup = np.array([np.all(pw == t, axis=0) for pw in powers], dtype=bool)
         dup = dup.reshape(degree - 1, k)
         x = np.hstack([np.ones((n, 1)), t] + [pw[:, ~c] for pw, c in zip(powers, dup)])
-        beta = _certified_lstsq(x, y)
-        if beta is None:
-            x = np.hstack([np.ones((n, 1)), t] + powers)
-            beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-            coef = beta[1:].reshape(degree, k).T
-        else:
+        fit = qr_lstsq(x, y)
+        if fit.certified:
+            beta = fit.beta
             # every solution has the same sum over the copies of t_j; the
             # equal split is the one of least norm
             share = beta[1:k + 1] / (1 + dup.sum(axis=0))
             higher = np.zeros(dup.shape)
             higher[~dup] = beta[k + 1:]
             coef = np.vstack([share, np.where(dup, share, higher)]).T
+        else:
+            x = np.hstack([np.ones((n, 1)), t] + powers)
+            beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+            coef = beta[1:].reshape(degree, k).T
         mean_fn = PolynomialMeanFn(degree=degree, intercept=float(beta[0]), coef=coef)
         resid = y - x @ beta
     else:
@@ -332,6 +287,13 @@ def _quantile_type7(sorted_resid: np.ndarray, p: np.ndarray) -> np.ndarray:
     return sorted_resid[lo] + frac * (sorted_resid[lo + 1] - sorted_resid[lo])
 
 
+def _unit_interval(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 0) or np.any(p >= 1):
+        raise InputFormatError("quantile argument must lie strictly inside (0,1)")
+    return p
+
+
 def conditional_cdf_quantile(model, t):
     """CDF / quantile pair of Y | T=t for a fitted outcome model.
 
@@ -346,10 +308,7 @@ def conditional_cdf_quantile(model, t):
             return ndtr((np.asarray(y, dtype=float) - mu) / sd)
 
         def quantile(p):
-            p = np.asarray(p, dtype=float)
-            if np.any(p <= 0) or np.any(p >= 1):
-                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
-            return mu + sd * ndtri(p)
+            return mu + sd * ndtri(_unit_interval(p))
 
         return cdf, quantile
 
@@ -364,10 +323,7 @@ def conditional_cdf_quantile(model, t):
             return np.clip(np.interp(r, resid, grid), 0.0, 1.0)
 
         def quantile(p):
-            p = np.asarray(p, dtype=float)
-            if np.any(p <= 0) or np.any(p >= 1):
-                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
-            return mu + _quantile_type7(resid, p)
+            return mu + _quantile_type7(resid, _unit_interval(p))
 
         return cdf, quantile
 
@@ -379,10 +335,7 @@ def conditional_cdf_quantile(model, t):
             return np.where(y < 0.0, 0.0, np.where(y < 1.0, 1.0 - p1, 1.0))
 
         def quantile(p):
-            p = np.asarray(p, dtype=float)
-            if np.any(p <= 0) or np.any(p >= 1):
-                raise InputFormatError("quantile argument must lie strictly inside (0,1)")
-            return (p > 1.0 - p1).astype(float)
+            return (_unit_interval(p) > 1.0 - p1).astype(float)
 
         return cdf, quantile
 

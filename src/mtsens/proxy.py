@@ -7,16 +7,14 @@ sigma_u2 = Var(U) lives in (0, 1]: U explains at most all of the proxy.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_vector
+from ._linalg import as_vector, full_rank_lstsq
 from .bounds import IgnoranceRegion
 from .errors import DegenerateModelError, DimensionError, PositivityError
-from .outcome import _lstsq
 
 DOMAIN_EPS = 1e-9
 
@@ -62,11 +60,11 @@ def fit_proxy(y, t, z) -> ProxyFit:
     z = (z - z.mean()) / z_sd
 
     design_t = np.column_stack([np.ones(n), z])
-    coef_t = _lstsq(design_t, t, ["intercept", "z"])
+    coef_t = full_rank_lstsq(design_t, t, ["intercept", "z"])
     resid_t = t - design_t @ coef_t
 
     design_y = np.column_stack([np.ones(n), t, z])
-    coef_y = _lstsq(design_y, y, ["intercept", "t", "z"])
+    coef_y = full_rank_lstsq(design_y, y, ["intercept", "t", "z"])
     resid_y = y - design_y @ coef_y
 
     return ProxyFit(
@@ -121,14 +119,6 @@ def tau_adjusted(fit: ProxyFit, sigma_u2: float) -> float:
     return fit.tilde_tau - prod * (1.0 - sigma_u2) / den
 
 
-def _endpoint_adjustment(fit: ProxyFit) -> float:
-    """Limit of tau_adjusted at the lower domain endpoint:
-    tilde_tau - tilde_beta sigma2_y_given_tz / (tilde_gamma sigma2_t_given_z)."""
-    return fit.tilde_tau - fit.tilde_beta * fit.sigma2_y_given_tz / (
-        fit.tilde_gamma * fit.sigma2_t_given_z
-    )
-
-
 def tau_bounds(fit: ProxyFit) -> IgnoranceRegion:
     """Effect range over the whole feasible domain. One endpoint is always
     tilde_tau (no confounding beyond the proxy); the other is the
@@ -138,6 +128,9 @@ def tau_bounds(fit: ProxyFit) -> IgnoranceRegion:
     prod = fit.tilde_gamma * fit.tilde_beta
     if prod == 0.0:
         return IgnoranceRegion(naive, naive, naive, 1.0, True)
-    other = _endpoint_adjustment(fit)
+    # the limit of tau_adjusted at the lower domain endpoint
+    other = fit.tilde_tau - fit.tilde_beta * fit.sigma2_y_given_tz / (
+        fit.tilde_gamma * fit.sigma2_t_given_z
+    )
     lower, upper = (other, naive) if prod > 0 else (naive, other)
     return IgnoranceRegion(naive, lower, upper, 1.0, True)

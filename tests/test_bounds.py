@@ -15,6 +15,7 @@ from mtsens import (
     FactorModel,
     GaussianOutcome,
     IgnoranceRegion,
+    InputFormatError,
     InvalidCopulaError,
     SensitivitySpec,
     TreatmentMatrix,
@@ -219,6 +220,10 @@ def test_ignorance_region_validation():
     with pytest.raises(ValueError):
         IgnoranceRegion(naive=5.0, lower=-1.0, upper=1.0, r2_cap=0.5, bounded=True)
     with pytest.raises(ValueError):
+        IgnoranceRegion(naive=0.0, lower=-1.0, upper=math.inf, r2_cap=0.5, bounded=False)
+    with pytest.raises(InputFormatError, match="does not contain"):
+        IgnoranceRegion(naive=5.0, lower=-1.0, upper=1.0, r2_cap=0.5, bounded=True)
+    with pytest.raises(InputFormatError, match="infinite endpoints"):
         IgnoranceRegion(naive=0.0, lower=-1.0, upper=math.inf, r2_cap=0.5, bounded=False)
 
 

@@ -193,7 +193,8 @@ def test_benchmark_table_rank_deficient_matches_per_column():
     y = base @ np.array([1.0, -0.5, 0.3]) + rng.normal(size=80)
     tm = TreatmentMatrix(data)
     table = [v for _, v in benchmark_table(tm, y)]
-    assert table == [partial_r2_treatment(tm, y, j) for j in range(4)]
+    per_column = [partial_r2_treatment(tm, y, j) for j in range(4)]
+    assert np.allclose(table, per_column, rtol=0.0, atol=1e-10)
 
 
 def test_benchmark_table_exact_restricted_fit_raises():
@@ -204,3 +205,65 @@ def test_benchmark_table_exact_restricted_fit_raises():
         benchmark_table(tm, data[:, 0].copy())
     with pytest.raises(CalibrationError):
         benchmark_table(tm, np.full(50, 2.0))
+
+
+def _partial_r2_reference(t, y, cols):
+    """(R2_full - R2_rest) / (1 - R2_rest) from np.linalg.lstsq on unit-norm
+    columns, or None where the restricted fit is exact."""
+
+    def r2(x):
+        design = np.column_stack([np.ones(len(y)), x])
+        norms = np.linalg.norm(design, axis=0)
+        design = design / np.where(norms > 0, norms, 1.0)
+        resid = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+        return 1.0 - resid @ resid / np.sum((y - y.mean()) ** 2)
+
+    r2_rest = r2(np.delete(t, cols, axis=1))
+    if 1.0 - r2_rest < 1e-12:
+        return None
+    return max((r2(t) - r2_rest) / (1.0 - r2_rest), 0.0)
+
+
+@st.composite
+def _calibration_designs(draw):
+    """Treatments with a duplicated or constant column, a one-hot block that
+    sums to the intercept, a scaled linear combination of two columns, or
+    more columns than rows; plus one column set."""
+    n = draw(st.integers(8, 80))
+    k = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-1, 1, size=k)
+    i, j, l = rng.permutation(k)[:3]
+    kind = draw(st.sampled_from(["duplicate", "constant", "one-hot", "combination", "wide"]))
+    if kind == "duplicate":
+        t[:, j] = t[:, i]
+    elif kind == "constant":
+        t[:, j] = 2.5
+    elif kind == "one-hot":
+        t = np.column_stack([t, np.eye(3)[rng.integers(0, 3, size=n)]])
+    elif kind == "combination":
+        t[:, j] = rng.uniform(-3, 3) * t[:, i] + rng.uniform(-3, 3) * t[:, l]
+    else:
+        t = rng.normal(size=(n, n + draw(st.integers(0, 3))))
+    cols = draw(st.lists(st.integers(0, t.shape[1] - 1), min_size=1, unique=True))
+    return t, t @ rng.normal(size=t.shape[1]) + rng.normal(size=n), cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_calibration_designs())
+def test_rank_deficient_table_and_partial_r2_match_lstsq(design):
+    t, y, cols = design
+    tm = TreatmentMatrix(t)
+    ref = [_partial_r2_reference(t, y, [j]) for j in range(t.shape[1])]
+    if any(r is None for r in ref):
+        with pytest.raises(CalibrationError):
+            benchmark_table(tm, y)
+    else:
+        table = [v for _, v in benchmark_table(tm, y)]
+        assert np.allclose(table, ref, rtol=0.0, atol=1e-10)
+    expected = _partial_r2_reference(t, y, cols)
+    if expected is None:
+        with pytest.raises(CalibrationError):
+            partial_r2_treatment(tm, y, cols)
+    else:
+        assert partial_r2_treatment(tm, y, cols) == pytest.approx(expected, abs=1e-10)

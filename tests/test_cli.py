@@ -351,6 +351,42 @@ def test_calibrate_command(linear_models, tmp_path, capsys):
         assert 0.0 <= float(val) <= 1.0
 
 
+def test_calibrate_duplicated_column(tmp_path, capsys):
+    # two variants in perfect LD: the table scores both copies 0 and every
+    # other column as its per-column lstsq refit does
+    rng = np.random.default_rng(41)
+    t = rng.integers(0, 2, size=(120, 4)).astype(float)
+    t[:, 3] = t[:, 1]
+    y = t @ np.array([1.0, -0.5, 0.8, 0.0]) + rng.normal(size=120)
+    csv_path = tmp_path / "dup.csv"
+    rows = [",".join(map(repr, row)) for row in np.column_stack([t, y]).tolist()]
+    csv_path.write_text("a,b,c,b_copy,y\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "bench.tsv"
+    rc, _, err = _run(
+        ["calibrate", "--treatments", str(csv_path), "--outcome", "y", "--out", str(out)],
+        capsys,
+    )
+    assert rc == 0, err
+
+    def rss(cols):
+        x = np.column_stack([np.ones(120), t[:, cols]])
+        resid = y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+        return resid @ resid
+
+    full = rss([0, 1, 2, 3])
+    reference = {}
+    for j, name in enumerate(["a", "b", "c", "b_copy"]):
+        rest = rss([c for c in range(4) if c != j])
+        reference[name] = (rest - full) / rest
+    lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+    assert lines[0] == "column\tpartial_r2"
+    got = {name: float(v) for name, v in (l.split("\t") for l in lines[1:])}
+    assert list(got) == list(reference)
+    assert got["b"] == got["b_copy"] == 0.0
+    for name, value in reference.items():
+        assert got[name] == pytest.approx(value, abs=1e-10)
+
+
 def test_mcc_command(linear_models, tmp_path, capsys):
     out_dir = tmp_path / "mcc"
     rc, stdout, err = _run(

@@ -469,3 +469,15 @@ def test_conditional_confounder_direct_construction_validates():
         ConditionalConfounder(
             coef=np.zeros((2, 3)), sigma_u_given_t=np.eye(3)
         )
+
+
+def test_bad_inputs_raise_typed_errors():
+    with pytest.raises(InputFormatError, match="non-finite"):
+        TreatmentMatrix(np.array([[0.0, 1.0], [np.nan, 2.0]]))
+    with pytest.raises(DegenerateModelError, match="not symmetric"):
+        ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(DegenerateModelError, match="negative eigenvalue"):
+        ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=np.diag([1.0, -0.5]))
+    data = _simulate_factor_data(B_K4, 1.0, n=200, seed=2)
+    with pytest.raises(InputFormatError, match="unknown method"):
+        select_dim(TreatmentMatrix(data), method="bogus")
