@@ -5,10 +5,12 @@ from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
 space. Every least-squares fit comes from qr_lstsq: an unpivoted QR that a
-dgecon estimate certifies as full rank, else a pivoted QR with one rank rule
-(|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and fit_proxy (through
-full_rank_lstsq), fit_empirical, benchmark_table and partial_r2_treatment
-all call it.
+dgecon estimate certifies as full rank (certified_lstsq), else a pivoted QR
+with one rank rule (|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and
+fit_proxy (through full_rank_lstsq), benchmark_table and
+partial_r2_treatment call qr_lstsq; fit_empirical calls certified_lstsq. The
+probit Newton step solves its Hessian by certified_cholesky_solve, with the
+same max(n, p) * eps condition rule.
 """
 from __future__ import annotations
 
@@ -129,22 +131,51 @@ class QrLstsq(NamedTuple):
     certified: bool
 
 
+def _full_rank(rcond: float, n: int, p: int) -> bool:
+    """Whether a reciprocal 1-norm condition estimate of a p-column
+    factorization of n rows certifies full rank: rcond > 20 p max(n, p) eps.
+    For a QR, min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)), and
+    rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a small
+    factor (Higham 1988): the 20 allows 10x for it and 2x for rounding."""
+    return rcond > 20 * p * max(n, p) * np.finfo(float).eps
+
+
+def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The least-squares coefficients of y on the columns of x and the R of
+    an unpivoted QR, x = QR, when a dgecon estimate on R certifies full
+    rank; None otherwise (n < p included). dgecon on R as LU factors
+    (L = I) is ?trcon."""
+    n, p = x.shape
+    if n < p:
+        return None
+    qty, r = qr_multiply(x, y, mode="right")
+    if not _full_rank(lapack.dgecon(r, np.linalg.norm(r, 1))[0], n, p):
+        return None
+    return solve_triangular(r, qty), r
+
+
+def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
+    """The solution of a x = b for a symmetric positive definite p x p
+    matrix a = X'WX formed from n rows, by a Cholesky factorization that a
+    dpocon estimate certifies as full rank under the rule of _full_rank;
+    None when dpotrf fails or the certificate does."""
+    c, info = lapack.dpotrf(a)
+    if info != 0:
+        return None
+    rcond, info = lapack.dpocon(c, np.linalg.norm(a, 1))
+    if info != 0 or not _full_rank(rcond, n, a.shape[0]):
+        return None
+    return lapack.dpotrs(c, b)[0]
+
+
 def qr_lstsq(x: np.ndarray, y: np.ndarray) -> QrLstsq:
     n, p = x.shape
-    eps = np.finfo(float).eps
-    if n >= p:
-        tol = n * eps
-        qty, r = qr_multiply(x, y, mode="right")
-        # Pivoted R: min|R_ii| / max|R_ii| >= 1/kappa_2(x) >= 1/(p kappa_1(R)),
-        # and rcond = 1/(||R||_1 est) with est <= ||R^-1||_1, in practice by a
-        # small factor (Higham 1988): with 10x for it and 2x for rounding,
-        # rcond > 20 p tol implies full rank. dgecon on R as LU factors
-        # (L = I) is ?trcon.
-        if lapack.dgecon(r, np.linalg.norm(r, 1))[0] > 20 * p * tol:
-            return QrLstsq(solve_triangular(r, qty), r, np.arange(p), p, True)
+    fit = certified_lstsq(x, y)
+    if fit is not None:
+        return QrLstsq(fit[0], fit[1], np.arange(p), p, True)
     qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag.max() * max(n, p) * eps))
+    rank = int(np.sum(diag > diag.max() * max(n, p) * np.finfo(float).eps))
     beta = np.zeros(p)
     beta[piv[:rank]] = solve_triangular(r[:rank, :rank], qty[:rank])
     return QrLstsq(beta, r, piv, rank, False)

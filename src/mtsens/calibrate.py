@@ -12,7 +12,7 @@ from ._linalg import as_vector, qr_lstsq
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
-from .outcome import BinaryOutcome, fit_probit
+from .outcome import BinaryOutcome, _probit_mle, fit_probit
 
 NEGATIVE_R2_WARN = 1e-6
 EXACT_RESTRICTED_FIT = (
@@ -107,9 +107,13 @@ def implicit_r2(
     probit_model: BinaryOutcome | None = None,
     j=None,
 ) -> float:
-    """Implicit R2 of the treatments in a probit model:
-    Var(linear predictor) / (Var + 1). With a column set j, the partial
-    version on the implicit scale, comparing full and restricted fits."""
+    """Implicit R2 of the treatments in a probit model (probit_model, or
+    fit_probit's fit when it is None): Var(linear predictor) / (Var + 1),
+    the McKelvey-Zavoina (1975) pseudo-R2. With a column set j, the partial
+    version on the implicit scale, against a probit refit on the other
+    columns that starts from the full model's coefficients with the columns
+    j dropped, so a table of one call per column takes a few Newton steps
+    per column."""
     if probit_model is None:
         probit_model = fit_probit(treatments, y_binary)
     r2_full = _implicit_r2_of_fit(treatments.data, probit_model)
@@ -119,7 +123,8 @@ def implicit_r2(
     r2_rest = 0.0
     if rest:
         t_rest = treatments.data[:, rest]
-        r2_rest = _implicit_r2_of_fit(t_rest, fit_probit(TreatmentMatrix(t_rest), y_binary))
+        start = np.concatenate([[probit_model.probit_intercept], probit_model.probit_coef[rest]])
+        r2_rest = _implicit_r2_of_fit(t_rest, _probit_mle(TreatmentMatrix(t_rest), y_binary, start))
     if 1.0 - r2_rest < 1e-12:
         raise CalibrationError(
             "restricted probit already has implicit R2 of 1; partial value "

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ._linalg import as_vector, psd_roots
 from .copula import SensitivitySpec
@@ -324,6 +323,8 @@ def _dual_candidate(g_mat, naive, cap, norm, tol, z, picked):
     >= 0; Linf takes y_i = sign(r_i) lam_i with sum(lam) = 1. The sign
     constraints keep ties (degenerate vertices) exact, where a plain
     least-squares y would leave the ball and be clipped."""
+    from scipy.optimize import nnls  # imported on use: a slow import
+
     n_contrasts, m = g_mat.shape
     res = naive - g_mat @ z
     size = np.abs(res)

@@ -10,20 +10,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._linalg import full_rank_lstsq, qr_lstsq
+from ._linalg import certified_cholesky_solve, certified_lstsq, full_rank_lstsq
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
 from .factor import TreatmentMatrix, _read_json, _write_json
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _std_normal_pdf(x):
-    """Standard normal density in the expression scipy's normal distribution
-    evaluates, so the two agree bit for bit; a 0-d input gives a numpy scalar."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -150,45 +144,68 @@ def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
 
 
 def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float = 1e-8) -> BinaryOutcome:
-    """Probit maximum likelihood via damped Newton iterations."""
+    """Probit maximum likelihood by exact Newton iterations from beta = 0.
+
+    With s = 2y - 1 and margins m = s * (b0 + t'b), the log-likelihood is
+    sum log_ndtr(m), so 1 - Phi is never formed by subtraction and nothing
+    is clipped. The inverse Mills ratio lam = phi(m) / Phi(m) gives the score
+    X'(s lam) and the observed Hessian X' diag(lam (lam + m)) X, which a
+    certified Cholesky factorization solves (np.linalg.lstsq's minimum-norm
+    step without the certificate, so duplicated columns split equally).
+    Armijo backtracking on the exact log-likelihood damps each step; once the
+    Newton decrement is below the likelihood's rounding level the full step
+    is taken. The fit stops when max |score| < tol and warns at max_iter.
+    SeparationError: coefficients above 1e3, growth without convergence
+    after half the budget, or a fit that classifies every row perfectly.
+    """
+    return _probit_mle(treatments, y, np.zeros(treatments.k + 1), max_iter, tol)
+
+
+def _probit_mle(treatments: TreatmentMatrix, y, beta, max_iter: int = 100,
+                tol: float = 1e-8) -> BinaryOutcome:
+    """fit_probit from the start [intercept, coef...] = beta. Warnings name
+    the caller of the public function that called this one."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    n, k = treatments.n, treatments.k
+    n = treatments.n
     if y.shape[0] != n:
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     vals = np.unique(y)
     if not np.all(np.isin(vals, (0.0, 1.0))) or vals.size != 2:
         raise InputFormatError("probit outcome must be binary with both classes present")
     x = np.column_stack([np.ones(n), treatments.data])
-    beta = np.zeros(k + 1)
+    s = 2.0 * y - 1.0
 
-    def nll(b):
-        eta = x @ b
-        p = np.clip(ndtr(eta), 1e-12, 1 - 1e-12)
-        return -float(y @ np.log(p) + (1 - y) @ np.log1p(-p))
+    def margins(b):
+        m = s * (x @ b)
+        log_cdf = log_ndtr(m)
+        return m, log_cdf, float(np.sum(log_cdf))
 
-    current = nll(beta)
+    m, log_cdf, loglik = margins(beta)
     converged = False
     half_norm = None
     for it in range(max_iter):
-        eta = x @ beta
-        p = np.clip(ndtr(eta), 1e-12, 1 - 1e-12)
-        phi = _std_normal_pdf(eta)
-        w = phi * phi / (p * (1 - p))
-        score = x.T @ (phi * (y - p) / (p * (1 - p)))
+        mills = np.exp(-0.5 * m * m - _LOG_SQRT_2PI - log_cdf)
+        score = x.T @ (s * mills)
         if np.max(np.abs(score)) < tol:
             converged = True
             break
-        hess = x.T @ (w[:, None] * x)
-        step, *_ = np.linalg.lstsq(hess, score, rcond=None)
-        # damp: halve until the likelihood does not get worse
+        hess = x.T @ ((mills * (mills + m))[:, None] * x)
+        step = certified_cholesky_solve(hess, score, n)
+        if step is None:
+            step = np.linalg.lstsq(hess, score, rcond=None)[0]
+        decrement = float(score @ step)
+        # below the rounding level of the likelihood a trial cannot show an
+        # ascent, and the full Newton step is the right one
+        full = decrement <= 1e-10 * abs(loglik)
         scale = 1.0
         for _ in range(30):
             cand = beta + scale * step
-            if nll(cand) <= current + 1e-12:
+            trial = margins(cand)
+            if full or trial[2] >= loglik + 1e-4 * scale * decrement:
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        current = nll(beta)
+        beta = cand
+        m, log_cdf, loglik = trial
         if np.max(np.abs(beta)) > 1e3:
             raise SeparationError(
                 "probit coefficients diverged; data are perfectly separated"
@@ -207,13 +224,12 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
         warnings.warn(
             "probit fit stopped at the iteration cap before the score "
             "converged",
-            stacklevel=2,
+            stacklevel=3,
         )
-    margins = (2 * y - 1) * (x @ beta)
     # a finite score-stationary point that classifies every row correctly
     # with numerically flat tails only exists when the data are separated
-    # (the unclipped likelihood has no finite maximizer there)
-    if np.all(margins > 0) and float(np.min(margins)) > 4.0:
+    # (the likelihood has no finite maximizer there)
+    if np.all(m > 0) and float(np.min(m)) > 4.0:
         raise SeparationError(
             "probit fit classifies every observation perfectly; data are "
             "separated and the maximum likelihood estimate is unbounded"
@@ -231,10 +247,11 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     The polynomial regresses y on [1, t, t**2, ..., t**degree] per column and
     keeps the minimum-norm least-squares coefficients, the solution
     np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments)
-    copies the column t_j, so qr_lstsq solves only the distinct columns and
-    each copy of t_j gets an equal share of its coefficient. Without its
-    full-rank certificate (a constant or duplicated column, or t**2 = -t on
-    {0, -1}) the full design goes to np.linalg.lstsq, an SVD.
+    copies the column t_j, so certified_lstsq solves only the distinct
+    columns by one QR and each copy of t_j gets an equal share of its
+    coefficient. Without its full-rank certificate (a constant or duplicated
+    column, or t**2 = -t on {0, -1}) the full design goes to
+    np.linalg.lstsq, an SVD.
 
     Residual variance uses the population convention (mean squared residual)
     since the effective degrees of freedom of a pluggable regressor are
@@ -253,9 +270,9 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
         dup = np.array([np.all(pw == t, axis=0) for pw in powers], dtype=bool)
         dup = dup.reshape(degree - 1, k)
         x = np.hstack([np.ones((n, 1)), t] + [pw[:, ~c] for pw, c in zip(powers, dup)])
-        fit = qr_lstsq(x, y)
-        if fit.certified:
-            beta = fit.beta
+        fit = certified_lstsq(x, y)
+        if fit is not None:
+            beta = fit[0]
             # every solution has the same sum over the copies of t_j; the
             # equal split is the one of least norm
             share = beta[1:k + 1] / (1 + dup.sum(axis=0))

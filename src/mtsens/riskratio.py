@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import ndtr, ndtri
 
 from ._linalg import as_vector
@@ -197,6 +196,8 @@ def _ball_extremes(ev: _RrEvaluator, points: np.ndarray, radius: float):
     direction had no successful polish. Every reported value is rr at a
     point of the ball.
     """
+    from scipy.optimize import minimize  # imported on use: a slow import
+
     points = np.unique(points, axis=0)
     vals = ev.rr(points)
     order = np.argsort(vals)
@@ -264,6 +265,8 @@ def _first_crossings(ev: _RrEvaluator, ends: np.ndarray, sign: float) -> np.ndar
     """Norm of the first point with rr = 1 on each segment [0, end], inf where
     there is none: one batched scan of _RV_SCAN points per segment, then
     brentq in the first bracket. sign is that of rr - 1 at the centre."""
+    from scipy.optimize import brentq  # imported on use: a slow import
+
     s = np.linspace(0.0, 1.0, _RV_SCAN + 1)
     pts = s[1:, None] * ends[:, None, :]
     side = sign * (ev.rr(pts.reshape(-1, ends.shape[1])).reshape(len(ends), -1) - 1.0)
@@ -292,6 +295,8 @@ def binary_rv(
     of a crossing found along a ray, so it is always attained. A singular
     Sigma raises DegenerateModelError.
     """
+    from scipy.optimize import minimize  # imported on use: a slow import
+
     ev = _RrEvaluator(c, cc, bin_out, observed)
     naive = float(ev.rr(np.zeros(cc.m))[0])
     if abs(naive - 1.0) < 1e-14:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
+import mtsens.outcome
 from mtsens import (
     BinaryOutcome,
     CalibrationError,
@@ -15,9 +17,11 @@ from mtsens import (
     fit_probit,
     gamma_from_r2_direction,
     gamma_from_signed_r2,
+    gen_gwas,
     implicit_r2,
     partial_r2_treatment,
 )
+from mtsens.calibrate import _implicit_r2_of_fit
 
 SIGMA_SCALAR = np.array([[0.2]])
 
@@ -149,6 +153,33 @@ def test_implicit_r2_partial_column():
     irrelevant = implicit_r2(tm, y, j=1)
     assert only_relevant == pytest.approx(full, abs=0.03)
     assert irrelevant < 0.01
+
+
+def test_warm_started_implicit_r2_equals_cold_refits(monkeypatch):
+    sim = gen_gwas(n=400, k=8, m=3, seed=4)
+    y = (sim.y > np.median(sim.y)).astype(float)
+    tm = sim.treatments
+    model = fit_probit(tm, y)
+    r2_full = _implicit_r2_of_fit(tm.data, model)
+    trials = []
+
+    def counted(m):
+        trials.append(1)
+        return log_ndtr(m)
+
+    monkeypatch.setattr(mtsens.outcome, "log_ndtr", counted)
+    warm_trials = cold_trials = 0
+    for j in range(tm.k):
+        trials.clear()
+        warm = implicit_r2(tm, y, model, j)
+        warm_trials += len(trials)
+        trials.clear()
+        t_rest = np.delete(tm.data, j, axis=1)
+        r2_rest = _implicit_r2_of_fit(t_rest, fit_probit(TreatmentMatrix(t_rest), y))
+        cold_trials += len(trials)
+        assert warm == pytest.approx((r2_full - r2_rest) / (1.0 - r2_rest), abs=1e-8)
+    # the refits start at the full fit, not at zero
+    assert warm_trials < cold_trials
 
 
 def test_benchmark_table_shape_and_names():

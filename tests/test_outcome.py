@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from mtsens import (
@@ -22,13 +24,13 @@ from mtsens import (
     fit_linear,
     fit_probit,
     fit_proxy,
+    gen_gwas,
     gen_linear_gaussian,
     load_outcome,
     naive_closed_form,
     save_outcome,
     SimTruth,
 )
-from mtsens.outcome import _std_normal_pdf
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -106,6 +108,133 @@ def test_fit_probit_separation():
     y = (t[:, 0] > 0).astype(float)
     with pytest.raises(SeparationError):
         fit_probit(TreatmentMatrix(t), y)
+
+
+def _probit_score(t, y, model):
+    """max |score| of the probit log-likelihood at the fitted model, through
+    log_ndtr and the inverse Mills ratio."""
+    x = np.column_stack([np.ones(t.shape[0]), t])
+    sgn = 2.0 * y - 1.0
+    m = sgn * (x @ np.r_[model.probit_intercept, model.probit_coef])
+    mills = np.exp(-0.5 * m * m - 0.5 * math.log(2.0 * math.pi) - log_ndtr(m))
+    return float(np.max(np.abs(x.T @ (sgn * mills))))
+
+
+def _fisher_scoring_probit(t, y, tol=1e-12, max_iter=5000):
+    """The clipped, step-halving Fisher-scoring probit fit that preceded the
+    Newton one, run to a tighter score: beta and the Fisher information
+    there, or None when it does not get there."""
+    n = t.shape[0]
+    x = np.column_stack([np.ones(n), t])
+    beta = np.zeros(x.shape[1])
+
+    def nll(b):
+        p = np.clip(norm.cdf(x @ b), 1e-12, 1 - 1e-12)
+        return -float(y @ np.log(p) + (1 - y) @ np.log1p(-p))
+
+    current = nll(beta)
+    for _ in range(max_iter):
+        eta = x @ beta
+        p = np.clip(norm.cdf(eta), 1e-12, 1 - 1e-12)
+        phi = norm.pdf(eta)
+        score = x.T @ (phi * (y - p) / (p * (1 - p)))
+        hess = x.T @ ((phi * phi / (p * (1 - p)))[:, None] * x)
+        if np.max(np.abs(score)) < tol:
+            return beta, hess
+        step = np.linalg.lstsq(hess, score, rcond=None)[0]
+        scale = 1.0
+        for _ in range(30):
+            if nll(beta + scale * step) <= current + 1e-12:
+                break
+            scale *= 0.5
+        beta = beta + scale * step
+        current = nll(beta)
+    return None
+
+
+@st.composite
+def _probit_designs(draw):
+    """n rows of k columns, each N(0, 1) or Bernoulli(q), and y from a probit
+    of moderate coefficients."""
+    n = draw(st.integers(min_value=40, max_value=400))
+    kinds = draw(st.lists(st.sampled_from(["normal", "binary"]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cols = [rng.normal(size=n) if kind == "normal"
+            else (rng.uniform(size=n) < rng.uniform(0.2, 0.8)).astype(float)
+            for kind in kinds]
+    t = np.column_stack(cols)
+    eta = rng.uniform(-0.5, 0.5) + t @ rng.uniform(-1.0, 1.0, size=len(kinds))
+    y = (rng.uniform(size=n) < norm.cdf(eta)).astype(float)
+    return t, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_probit_designs())
+def test_fit_probit_matches_fisher_scoring(design):
+    t, y = design
+    assume(0.0 < y.mean() < 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = fit_probit(TreatmentMatrix(t), y)
+        except SeparationError:
+            assume(False)
+    assert _probit_score(t, y, model) < 1e-8
+    ref = _fisher_scoring_probit(t, y)
+    assert ref is not None
+    beta_ref, info = ref
+    # a well-determined maximum; quasi-separation leaves a flat direction
+    # along which both fits stop wherever the score first drops below tol
+    assume(np.linalg.eigvalsh(info)[0] > 0.1)
+    beta = np.r_[model.probit_intercept, model.probit_coef]
+    assert np.linalg.norm(beta - beta_ref) <= 1e-7 * max(np.linalg.norm(beta_ref), 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_fit_probit_takes_full_steps_at_rounding_level(tol):
+    # the last Newton decrements fall below the rounding level of the
+    # log-likelihood while the score is still above tol in some of these
+    # designs (seeds 32, 79 and 117 with x86-64 OpenBLAS): a backtracking
+    # search cannot see an ascent there and halves the step to nothing
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(40, 401)), int(rng.integers(1, 7))
+        t = rng.normal(size=(n, k))
+        eta = rng.uniform(-0.5, 0.5) + t @ rng.uniform(-1.0, 1.0, size=k)
+        y = (rng.uniform(size=n) < norm.cdf(eta)).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_probit(TreatmentMatrix(t), y, tol=tol)
+        assert _probit_score(t, y, model) < tol
+
+
+def test_fit_probit_converges_on_wide_panel():
+    # the clipped Fisher-scoring fit stopped at its cap with a score of 7.9e-7
+    sim = gen_gwas(n=1000, k=100, m=3, seed=3)
+    y = (sim.y > np.median(sim.y)).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_probit(sim.treatments, y)
+    assert _probit_score(sim.treatments.data, y, model) < 1e-8
+
+
+def test_fit_probit_splits_duplicated_column_equally():
+    rng = np.random.default_rng(1)
+    base = rng.normal(size=(400, 4))
+    t = np.column_stack([base, base[:, 1]])
+    eta = 0.2 + base @ np.array([0.5, 0.5, -0.3, 0.2])
+    y = (rng.uniform(size=400) < norm.cdf(eta)).astype(float)
+    model = fit_probit(TreatmentMatrix(t), y)
+    distinct = fit_probit(TreatmentMatrix(base), y)
+    # the minimum-norm coefficients with the linear predictor of the fit on
+    # the distinct columns, as np.linalg.lstsq returns them
+    x = np.column_stack([np.ones(400), t])
+    expected = np.linalg.lstsq(
+        x, distinct.probit_intercept + base @ distinct.probit_coef, rcond=None
+    )[0]
+    beta = np.r_[model.probit_intercept, model.probit_coef]
+    assert np.allclose(beta, expected, rtol=0.0, atol=1e-8)
+    assert model.probit_coef[1] == pytest.approx(model.probit_coef[4], abs=1e-8)
 
 
 def test_fit_empirical_quadratic_truth():
@@ -469,14 +598,6 @@ def _assert_same_bits(ours, ref):
     nan = np.isnan(b)
     assert np.array_equal(np.isnan(a), nan)
     assert a[~nan].tobytes() == b[~nan].tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_REALS, min_size=1, max_size=12))
-def test_std_normal_pdf_is_scipy_norm_pdf_bit_for_bit(values):
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in _shapes(values):
-            _assert_same_bits(_std_normal_pdf(x), norm.pdf(x))
 
 
 @settings(max_examples=100, deadline=None)
