@@ -237,7 +237,7 @@ def _naive_contrast(outcome, c: Contrast) -> float:
 
 def cmd_fit(args, prov: dict) -> int:
     names, data = _read_table(args.treatments)
-    y, t_data, t_names = _split_outcome(names, data, args.outcome)
+    y, t_data, _ = _split_outcome(names, data, args.outcome)
     tm = TreatmentMatrix(t_data)
     if args.m is not None:
         m = args.m
@@ -414,7 +414,7 @@ def cmd_rr(args, prov: dict) -> int:
     d = d / nrm
     names, data = _read_table(args.treatments)
     if args.outcome is not None:
-        _, data, names = _split_outcome(names, data, args.outcome)
+        _, data, _ = _split_outcome(names, data, args.outcome)
     observed = TreatmentMatrix(data)
     grid = _parse_r2_list(args.grid)
     curve = rr_curve(c, cc, outcome, observed, d, grid)
@@ -485,7 +485,7 @@ def _write_dataset(out_dir: str, stem: str, tm: TreatmentMatrix, y, truth, prov)
 
 def cmd_simulate(args, prov: dict) -> int:
     preset = args.preset
-    if preset == "rotation":
+    if preset in ("rotation", "linear"):
         truth = SimTruth(
             b_true=LINEAR_PRESET_B,
             sigma2_t_given_u=1.0,
@@ -494,6 +494,7 @@ def cmd_simulate(args, prov: dict) -> int:
             tau_true=LINEAR_PRESET_TAU,
             seed=args.seed,
         )
+    if preset == "rotation":
         table = rotation_sweep(
             truth.factor_model(), 1.0, args.r2_cap, n_theta=args.n_theta
         )
@@ -504,14 +505,6 @@ def cmd_simulate(args, prov: dict) -> int:
         print(f"wrote {os.path.join(args.out_dir, 'rotation.tsv')}")
         return 0
     if preset == "linear":
-        truth = SimTruth(
-            b_true=LINEAR_PRESET_B,
-            sigma2_t_given_u=1.0,
-            sigma2_y_given_tu=1.0,
-            gamma_true=LINEAR_PRESET_GAMMA,
-            tau_true=LINEAR_PRESET_TAU,
-            seed=args.seed,
-        )
         data = gen_linear_gaussian(truth, args.n or 2000)
     elif preset in ("nonlinear", "nonlinear-binary"):
         data = gen_nonlinear(

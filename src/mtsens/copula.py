@@ -26,7 +26,7 @@ from .errors import (
     InvalidCopulaError,
 )
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
-from .outcome import EmpiricalOutcome, GaussianOutcome, conditional_cdf_quantile
+from .outcome import EmpiricalOutcome, GaussianOutcome, _quantile_type7, conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
@@ -233,15 +233,13 @@ def _from_gaussian(outcome, t):
     if isinstance(outcome, GaussianOutcome):
         mu, sd = float(outcome.mean(t)), outcome.sigma()
         return lambda ytilde: (mu + sd * ytilde, 0)
-    if isinstance(outcome, EmpiricalOutcome) and outcome.residual_quantiles.size > 1:
-        # the type-7 quantile, unchecked: u is clipped, so 0 <= lo <= n - 2
+    if isinstance(outcome, EmpiricalOutcome):
+        # unchecked: u is clipped inside (0, 1)
         mu, resid = float(outcome.mean(t)), outcome.residual_quantiles
-        diff, top = np.diff(resid), resid.size - 1
+        diff = np.diff(resid, append=resid[-1])
 
         def quantile(u):
-            h = u * top
-            lo = h.astype(np.intp)
-            return mu + (resid[lo] + (h - lo) * diff[lo])
+            return mu + _quantile_type7(resid, diff, u)
     else:
         _, quantile = conditional_cdf_quantile(outcome, t)
 

@@ -12,6 +12,7 @@ from mtsens import (
     CalibrationError,
     DimensionError,
     SensitivitySpec,
+    SeparationError,
     TreatmentMatrix,
     benchmark_table,
     fit_probit,
@@ -180,6 +181,26 @@ def test_warm_started_implicit_r2_equals_cold_refits(monkeypatch):
         assert warm == pytest.approx((r2_full - r2_rest) / (1.0 - r2_rest), abs=1e-8)
     # the refits start at the full fit, not at zero
     assert warm_trials < cold_trials
+
+
+def test_implicit_r2_separated_restricted_start_raises_at_once(monkeypatch):
+    # the supplied model's coefficient on column 0 alone already separates y
+    rng = np.random.default_rng(2)
+    t = rng.normal(size=(80, 2))
+    y = (t[:, 0] > 0).astype(float)
+    model = BinaryOutcome(probit_coef=np.array([3.0, 0.2]), probit_intercept=0.0,
+                          p_y1=float(y.mean()))
+    trials = []
+
+    def counted(m):
+        trials.append(1)
+        return log_ndtr(m)
+
+    monkeypatch.setattr(mtsens.outcome, "log_ndtr", counted)
+    with pytest.raises(SeparationError):
+        implicit_r2(TreatmentMatrix(t), y, model, j=1)
+    # the warm start is the witness: no likelihood evaluation, no step
+    assert trials == []
 
 
 def test_benchmark_table_shape_and_names():

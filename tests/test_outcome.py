@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr
-from scipy.special import log_ndtr
+from scipy.optimize import linprog
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
+import mtsens.outcome
 from mtsens import (
     BinaryOutcome,
     DimensionError,
@@ -31,6 +33,7 @@ from mtsens import (
     save_outcome,
     SimTruth,
 )
+from mtsens.outcome import _probit_mle
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
 
@@ -42,6 +45,22 @@ def test_fit_linear_exact_fit_warns():
     with pytest.warns(UserWarning, match="deterministic"):
         out = fit_linear(TreatmentMatrix(data), y)
     assert out.tau_naive == pytest.approx([2.0, 0.0, 0.0], abs=1e-10)
+
+
+def test_fit_linear_exact_fit_rule_is_scale_free():
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(50, 3))
+    y = data @ np.array([1.0, -0.5, 0.2]) + rng.normal(size=50)
+    unit = fit_linear(TreatmentMatrix(data), y)
+    # the same noisy fit in units 1e7 times smaller is no exact fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = fit_linear(TreatmentMatrix(data), y * 1e-7)
+    assert small.sigma2_y_given_t == pytest.approx(unit.sigma2_y_given_t * 1e-14, rel=1e-10)
+    # a constant y is one at any scale, though its var(y) is rounding noise
+    for c in (3.7, 1e-7, 1e5):
+        with pytest.warns(UserWarning, match="deterministic"):
+            fit_linear(TreatmentMatrix(data), np.full(50, c))
 
 
 def test_fit_linear_matches_confounded_closed_form():
@@ -108,6 +127,107 @@ def test_fit_probit_separation():
     y = (t[:, 0] > 0).astype(float)
     with pytest.raises(SeparationError):
         fit_probit(TreatmentMatrix(t), y)
+
+
+def _completely_separable(t, y):
+    """Albert & Anderson (1984): the data are completely separated exactly
+    when some b has s_i x_i'b >= 1 on every row, an LP feasibility check."""
+    x = np.column_stack([np.ones(t.shape[0]), t])
+    res = linprog(np.zeros(x.shape[1]), A_ub=-(2.0 * y - 1.0)[:, None] * x,
+                  b_ub=-np.ones(t.shape[0]), bounds=(None, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@st.composite
+def _separation_designs(draw):
+    """Small designs, separated or not: n rows of k columns, each N(0, 1) or
+    Bernoulli(q), y from a probit of coefficients from weak to strong, and a
+    common column scale from 1e-5 to 1e3."""
+    n = draw(st.integers(min_value=6, max_value=120))
+    kinds = draw(st.lists(st.sampled_from(["normal", "binary"]), min_size=1, max_size=5))
+    strength = draw(st.sampled_from([0.5, 2.0, 10.0, 100.0]))
+    scale = 10.0 ** draw(st.floats(min_value=-5.0, max_value=3.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cols = [rng.normal(size=n) if kind == "normal"
+            else (rng.uniform(size=n) < rng.uniform(0.2, 0.8)).astype(float)
+            for kind in kinds]
+    t = np.column_stack(cols)
+    eta = rng.uniform(-0.5, 0.5) + strength * (t @ rng.normal(size=len(kinds)))
+    y = (rng.uniform(size=n) < ndtr(eta)).astype(float)
+    return t, y, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_separation_designs())
+def test_fit_probit_separation_matches_lp_verdict(design):
+    t, y, scale = design
+    assume(0.0 < y.mean() < 1.0)
+    # a positive column scale maps separating coefficients b to b / scale,
+    # so the LP verdict on the unit-scale columns holds at every scale
+    separable = _completely_separable(t, y)
+    with warnings.catch_warnings():
+        # quasi-complete separation may end at the iteration cap
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            fit_probit(TreatmentMatrix(t * scale), y)
+            raised = False
+        except SeparationError:
+            raised = True
+    assert raised == separable
+
+
+def test_fit_probit_is_equivariant_under_column_scaling():
+    # the MLE in units 1e4 times smaller is 1e4 times larger, far above any
+    # fixed coefficient bound
+    rng = np.random.default_rng(7)
+    t = rng.normal(size=(500, 3))
+    y = (rng.uniform(size=500) < ndtr(0.3 + t @ np.array([0.8, -0.5, 0.15]))).astype(float)
+    unit = fit_probit(TreatmentMatrix(t), y)
+    small = fit_probit(TreatmentMatrix(t * 1e-4), y)
+    assert np.max(np.abs(small.probit_coef)) > 1e3
+    assert np.linalg.norm(small.probit_coef * 1e-4 - unit.probit_coef) <= (
+        1e-8 * np.linalg.norm(unit.probit_coef))
+    assert small.probit_intercept == pytest.approx(unit.probit_intercept, rel=1e-8)
+
+
+def test_fit_probit_separated_panel_raises_within_a_few_steps(monkeypatch):
+    sim = gen_gwas(n=2000, k=200, m=3, seed=0)
+    y = (sim.y > np.median(sim.y)).astype(float)
+    steps = []
+    solve = mtsens.outcome.certified_cholesky_solve
+
+    def counted(*args):
+        steps.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(mtsens.outcome, "certified_cholesky_solve", counted)
+    with pytest.raises(SeparationError):
+        fit_probit(sim.treatments, y)
+    # the first iterate whose margins are all positive ends the fit; waiting
+    # for the score to underflow took 27 steps
+    assert len(steps) <= 12
+
+
+def test_margins_positive_only_by_rounding_are_no_separation():
+    # the middle row is the midpoint of the outer two, with the other label,
+    # so no b gives all three exact margins s_i x_i'b a positive sign
+    u, v = np.spacing(0.7), np.spacing(0.3)
+    t = np.array([[0.7, 0.3 + 2 * v], [0.7 + u, 0.3 + v], [0.7 + 2 * u, 0.3]])
+    y = np.array([1.0, 0.0, 1.0])
+    assert np.all(2.0 * t[1] == t[0] + t[2])
+    x, s = np.column_stack([np.ones(3), t]), 2.0 * y - 1.0
+    rng = np.random.default_rng(0)
+    for _ in range(20000):
+        b1, b2 = rng.normal(size=2)
+        start = np.array([-(b1 * 0.7 + b2 * 0.3) + rng.normal() * u * abs(b1), b1, b2])
+        if np.min(s * (x @ start)) > 0:
+            break
+    else:
+        pytest.fail("no start with positive computed margins")
+    # computed margins all positive, but within the rounding bound of x'b
+    with pytest.warns(UserWarning, match="iteration cap"):
+        _probit_mle(TreatmentMatrix(t), y, start, max_iter=0)
 
 
 def _probit_score(t, y, model):
