@@ -31,7 +31,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputFormatError(f"{name} contains non-finite entries")
     return v
 

@@ -26,9 +26,11 @@ from .calibrate import benchmark_table, implicit_r2
 from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
 from .factor import (
     Contrast,
+    Table,
     TreatmentMatrix,
     _fit_ppca,
     _moments,
+    _distinct_reprs,
     _select_dim,
     _write_json,
     _write_text,
@@ -271,35 +273,46 @@ def cmd_fit(args, prov: dict) -> int:
     return 0
 
 
+def _contrast_columns(outcome, cc, sigma, contrasts):
+    """Ids, naive effects, robustness values and robust flags of the
+    contrasts, as columns."""
+    ids, naive, rv, robust = [], [], [], []
+    for contrast_id, c in contrasts:
+        effect = _naive_contrast(outcome, c)
+        value = robustness_value(effect, cc, sigma, c)
+        ids.append(contrast_id)
+        naive.append(effect)
+        rv.append(value.value)
+        robust.append(value.robust)
+    return np.array(ids), np.array(naive), np.array(rv), np.array(robust)
+
+
 def cmd_bounds(args, prov: dict) -> int:
     cc, outcome = _load_models(args.models)
     _require_continuous(outcome)
     sigma = outcome.sigma()
     contrasts = _parse_contrasts(args, cc.k)
-    r2_grid = [_check_r2(r2) for r2 in _parse_r2_list(args.r2)]
-    records = []
-    for contrast_id, c in contrasts:
-        naive = _naive_contrast(outcome, c)
-        rv = robustness_value(naive, cc, sigma, c)
-        # The region of a zero effect at unit sigma and cap 1 is [-w, w] with
-        # w = ||Sigma^{-1/2} mu_delta|| exactly, so every cap's half-width is
-        # the product worst_case_bias forms; every cap is unbounded, r2 = 0
-        # included, when this one is.
-        unit = ignorance_region(0.0, cc, 1.0, 1.0, c)
-        for r2 in r2_grid:
-            half = sigma * math.sqrt(r2) * unit.upper if unit.bounded else math.inf
-            records.append(
-                {
-                    "contrast_id": contrast_id,
-                    "naive": naive,
-                    "lower": naive - half,
-                    "upper": naive + half,
-                    "r2_cap": r2,
-                    "rv": rv.value,
-                    "bounded": unit.bounded,
-                }
-            )
-    _write_json({"results": records}, args.out, prov)
+    r2 = np.array([_check_r2(v) for v in _parse_r2_list(args.r2)])
+    ids, naive, rv, _ = _contrast_columns(outcome, cc, sigma, contrasts)
+    # The region of a zero effect at unit sigma and cap 1 is [-w, w] with
+    # w = ||Sigma^{-1/2} mu_delta|| exactly, so every cap's half-width is
+    # the product worst_case_bias forms; every cap is unbounded, r2 = 0
+    # included, when this one is.
+    units = [ignorance_region(0.0, cc, 1.0, 1.0, c) for _, c in contrasts]
+    bounded = np.array([u.bounded for u in units])
+    w = np.array([u.upper if u.bounded else 0.0 for u in units])
+    half = np.where(bounded[:, None], sigma * np.sqrt(r2) * w[:, None], math.inf)
+    g = len(r2)
+    table = Table(
+        contrast_id=np.repeat(ids, g),
+        naive=np.repeat(naive, g),
+        lower=(naive[:, None] - half).ravel(),
+        upper=(naive[:, None] + half).ravel(),
+        r2_cap=np.tile(r2, len(ids)),
+        rv=np.repeat(rv, g),
+        bounded=np.repeat(bounded, g),
+    )
+    _write_json({"results": table}, args.out, prov)
     return 0
 
 
@@ -307,21 +320,12 @@ def cmd_rv(args, prov: dict) -> int:
     cc, outcome = _load_models(args.models)
     _require_continuous(outcome)
     sigma = outcome.sigma()
-    records = []
-    for contrast_id, c in _parse_contrasts(args, cc.k):
-        naive = _naive_contrast(outcome, c)
-        rv = robustness_value(naive, cc, sigma, c)
-        records.append(
-            {
-                "contrast_id": contrast_id,
-                "naive": naive,
-                "rv": rv.value,
-                "robust": rv.robust,
-            }
-        )
-        flag = " (robust at any confounding level)" if rv.robust else ""
-        print(f"{contrast_id}: naive = {naive:.6g}, RV = {100 * rv.value:.1f}%{flag}")
-    _write_json({"results": records}, args.out, prov)
+    columns = _contrast_columns(outcome, cc, sigma, _parse_contrasts(args, cc.k))
+    for contrast_id, effect, value, robust in zip(*(col.tolist() for col in columns)):
+        flag = " (robust at any confounding level)" if robust else ""
+        print(f"{contrast_id}: naive = {effect:.6g}, RV = {100 * value:.1f}%{flag}")
+    table = Table(zip(("contrast_id", "naive", "rv", "robust"), columns))
+    _write_json({"results": table}, args.out, prov)
     return 0
 
 
@@ -466,9 +470,12 @@ def _write_dataset(out_dir: str, stem: str, tm: TreatmentMatrix, y, truth, prov)
         for key, val in prov.items():
             fh.write(f"# {key}: {val}\n")
         csv.writer(fh).writerow(tm.names() + ["y"])
-        # float reprs never need quoting; "\r\n" is csv.writer's terminator
-        for row in np.column_stack([tm.data, y]).tolist():
-            fh.write(",".join(map(float.__repr__, row)) + "\r\n")
+        # float reprs never need quoting; "\r\n" is csv.writer's terminator.
+        # Blocks of rows bound the text arrays' memory.
+        data = np.column_stack([tm.data, y])
+        for start in range(0, data.shape[0], 256):
+            text = _distinct_reprs(data[start:start + 256])
+            fh.writelines(",".join(row) + "\r\n" for row in text.tolist())
     truth_payload = {
         "b_true": truth.b_true,
         "sigma2_t_given_u": truth.sigma2_t_given_u,

@@ -204,9 +204,15 @@ class Contrast:
     @classmethod
     def unit(cls, k: int, j: int) -> "Contrast":
         """The contrast e_j versus 0 in a k-dimensional treatment space."""
-        t1 = np.zeros(k)
+        t2 = np.zeros(k)
+        t1 = t2.copy()
         t1[j] = 1.0
-        return cls(t1, np.zeros(k))
+        # finite, 1-d and of equal length by construction, so the checks of
+        # __post_init__ are skipped
+        c = object.__new__(cls)
+        for name, v in (("t1", t1), ("t2", t2), ("delta", t1.copy())):
+            object.__setattr__(c, name, v)
+        return c
 
 
 def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> FactorModel:
@@ -274,6 +280,9 @@ def select_dim(treatments: TreatmentMatrix, method: str = "eigen_gap") -> int:
     (lambda_i - lambda_{i+1}) / lambda_{i+1} over 1 <= i <= k-2.
     holdout: the m in {1..k-1} minimizing mean held-out per-entry Gaussian
     negative log-likelihood under 5-fold row splits (columns kept intact).
+    holdout counts the dimensions of the treatment covariance, and on
+    thresholded binary treatments, whose covariance is arcsin(corr(T*))/(2 pi)
+    of the latent T*, these exceed the latent factors.
     """
     return _select_dim(treatments, _moments(treatments)[1], method)
 
@@ -377,19 +386,89 @@ def _finite_or_null(obj):
     return obj
 
 
+class Table(dict):
+    """Equal-length 1-d columns by name (str). _write_json writes a top-level
+    Table as a list of records, one per line, with the keys in column
+    order."""
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _distinct_reprs(a: np.ndarray, nonfinite: str | None = None) -> np.ndarray:
+    """repr of each entry of a float array, formatted once per distinct bit
+    pattern (the int64 view keeps -0.0 and 0.0 apart), as an object array
+    shaped like a; +-inf and NaN read nonfinite when it is given."""
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    values = uniq.view(np.float64)
+    text = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    if nonfinite is not None:
+        text[~np.isfinite(values)] = nonfinite
+    return text[inverse].reshape(a.shape)
+
+
+def _column_text(col) -> list[str]:
+    """The JSON text of each entry of a 1-d column. In an array, floats are
+    formatted once per distinct bit pattern, +-inf and NaN as null, and bools
+    as true/false; each distinct string is encoded once; anything else, such
+    as the values of a list of records, entry by entry."""
+    if type(col) is np.ndarray:
+        if col.ndim != 1:
+            raise DimensionError(f"a table column must be 1-d, got shape {col.shape}")
+        if col.dtype.kind == "b":
+            return np.where(col, "true", "false").tolist()
+        if col.dtype.kind == "f":
+            return _distinct_reprs(col, "null").tolist()
+        col = col.tolist()
+    if all(type(v) is str for v in col):
+        text = {s: _encode(s) for s in set(col)}
+        return [text[s] for s in col]
+    return [_encode(_finite_or_null(v)) for v in col]
+
+
+def _records_table(records) -> Table:
+    """A list of records with the same keys in the same order, as columns."""
+    names = list(records[0])
+    if any(type(rec) is not dict or list(rec) != names for rec in records):
+        raise InputFormatError("the records of a table need the same keys in the same order")
+    return Table({name: [rec[name] for rec in records] for name in names})
+
+
+def _table_lines(table: Table) -> list[str]:
+    """One JSON record per row of table: the columns' texts substituted into
+    one template of the keys."""
+    text = [_column_text(col) for col in table.values()]
+    if len({len(t) for t in text}) > 1:
+        raise DimensionError("the columns of a table differ in length")
+    template = "{%s}" % ", ".join(
+        _encode(name).replace("%", "%%") + ": %s" for name in table
+    )
+    return list(map(template.__mod__, zip(*text)))
+
+
+def _json_text(value) -> str:
+    """The JSON text of one top-level value. A Table (a list of records is
+    turned into one) or a list of rows gets a record or row per line;
+    anything else goes through _finite_or_null onto one line."""
+    if type(value) in (list, tuple) and value and type(value[0]) is dict:
+        value = _records_table(value)
+    if isinstance(value, Table):
+        lines = _table_lines(value)
+    else:
+        value = _finite_or_null(value)
+        if not (type(value) is list and value and type(value[0]) is list):
+            return _encode(value)
+        lines = list(map(_encode, value))
+    return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
+
+
 def _write_json(payload: dict, path, provenance: dict | None = None) -> None:
-    """payload, after _provenance if given, through json's C encoder. Each
-    top-level key, and each element of a top-level list of records or rows,
-    gets its own line. +-inf and NaN become null; allow_nan=False rejects any
-    that the walk missed."""
+    """payload, after _provenance if given, one top-level key per line (see
+    _json_text). +-inf and NaN become null; allow_nan=False rejects any that
+    the walk missed."""
     doc = payload if provenance is None else {"_provenance": provenance, **payload}
-    dumps = json.JSONEncoder(allow_nan=False).encode
-    items = [
-        f"{dumps(key)}: [\n" + ",\n".join(map(dumps, value)) + "\n]"
-        if type(value) is list and value and type(value[0]) in (dict, list)
-        else f"{dumps(key)}: {dumps(value)}"
-        for key, value in _finite_or_null(doc).items()
-    ]
+    items = [f"{_encode(key)}: {_json_text(value)}" for key, value in doc.items()]
     _write_text("{\n" + ",\n".join(items) + "\n}\n", path)
 
 

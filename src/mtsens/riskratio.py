@@ -33,28 +33,30 @@ _RV_SCAN = 64
 _BLOCK = 1 << 20
 
 
-def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray) -> float:
+def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray, stacklevel: int) -> float:
     eta = float(bin_out.probit_intercept + t @ bin_out.probit_coef)
     mu = ndtr(eta)
     if not (CDF_CLAMP < mu < 1 - CDF_CLAMP):
         warnings.warn(
             f"conditional success probability {mu:.3g} clamped away from "
             "{0, 1}; the risk ratio there is numerically degenerate",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         eta = float(ndtri(np.clip(mu, CDF_CLAMP, 1 - CDF_CLAMP)))
     return eta
 
 
-def _endpoint(t, name, cc, bin_out, observed, basis):
+def _endpoint(t, name, cc, bin_out, observed, basis, depth):
     """Probit index eta at t and the shift matrix (T_obs - t) coef' basis, so
-    that P(Y=1 | do(t)) = mean Phi(eta + shift @ x) at coordinates x."""
+    that P(Y=1 | do(t)) = mean Phi(eta + shift @ x) at coordinates x. depth
+    counts the frames from here up to the public function, whose caller the
+    clamp warning names."""
     t = as_vector(t, name)
     for what, k in ((name, t.shape[0]), ("observed treatments", observed.k),
                     ("probit_coef", bin_out.k)):
         if k != cc.k:
             raise DimensionError(f"{what} has dimension {k}, expected k = {cc.k}")
-    return _linear_predictor(bin_out, t), (observed.data - t) @ (cc.coef.T @ basis)
+    return _linear_predictor(bin_out, t, depth + 3), (observed.data - t) @ (cc.coef.T @ basis)
 
 
 def _confounder_vector(v, what: str, cc: ConditionalConfounder) -> np.ndarray:
@@ -73,7 +75,7 @@ def rr_single(
 ) -> float:
     """P(Y=1 | do(T=t)) / P(Y=1) under the Gaussian-copula model."""
     gamma = _confounder_vector(spec.gamma, "gamma", cc)
-    eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m))
+    eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m), 1)
     return float(np.mean(ndtr(eta + shift @ gamma))) / bin_out.p_y1
 
 
@@ -100,8 +102,8 @@ class _RrEvaluator:
 
     def __init__(self, c, cc, bin_out, observed, basis=None):
         basis = cc.roots.inv_root if basis is None else basis
-        self.eta1, self.s1 = _endpoint(c.t1, "t1", cc, bin_out, observed, basis)
-        self.eta2, self.s2 = _endpoint(c.t2, "t2", cc, bin_out, observed, basis)
+        self.eta1, self.s1 = _endpoint(c.t1, "t1", cc, bin_out, observed, basis, 2)
+        self.eta2, self.s2 = _endpoint(c.t2, "t2", cc, bin_out, observed, basis, 2)
 
     def rr(self, x) -> np.ndarray:
         """Risk ratio at each row of x (one point may be a vector); inf where

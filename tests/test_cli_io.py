@@ -15,8 +15,8 @@ import mtsens.factor
 import mtsens.outcome
 from mtsens import ConditionalConfounder, GaussianOutcome, save_confounder, save_outcome
 from mtsens.cli import _read_table, main
-from mtsens.errors import InputFormatError
-from mtsens.factor import _write_json
+from mtsens.errors import DimensionError, InputFormatError
+from mtsens.factor import Table, _finite_or_null, _write_json
 
 
 def _csv_module_read_table(path):
@@ -28,6 +28,8 @@ def _csv_module_read_table(path):
 
 
 def _indent2_jsonable(obj):
+    if isinstance(obj, Table):
+        return [_indent2_jsonable(dict(zip(obj, row))) for row in zip(*obj.values())]
     if isinstance(obj, dict):
         return {k: _indent2_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -170,6 +172,75 @@ def test_json_layout_and_nonfinite_to_null(tmp_path):
         '"empty": []',
         "}",
     ]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e300,
+                   -1e-300, 1e-300, -1.7976931348623157e308, 0.1, 1.0]
+_FLOAT = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_PIECES = ['"', "\\", "%", "%s", ", ", '": ', "{", "\u00e9", "\u6f22", "\u2028", "\n", "\x00",
+           "a", "e1", " "]
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+
+
+@st.composite
+def _columns(draw, n):
+    """One column of n entries, as an array or a list, drawing repeats from a
+    small pool so the once-per-distinct-value formatting is exercised."""
+    kind = draw(st.sampled_from(["float", "bool", "int", "str", "mixed"]))
+    element = {
+        "float": _FLOAT,
+        "bool": st.booleans(),
+        "int": st.integers(-(2**63), 2**63 - 1),
+        "str": _TEXT,
+        "mixed": st.one_of(st.none(), st.booleans(), st.integers(), _FLOAT, _TEXT),
+    }[kind]
+    pool = draw(st.lists(element, min_size=1, max_size=4))
+    values = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                             min_size=n, max_size=n))]
+    if kind != "mixed" and draw(st.booleans()):
+        dtype = {"float": np.float64, "bool": np.bool_, "int": np.int64, "str": str}[kind]
+        return np.array(values, dtype=dtype).reshape(n)
+    return values
+
+
+@st.composite
+def _json_tables(draw):
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    return Table({name: draw(_columns(n)) for name in names}), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_tables())
+def test_table_writes_the_per_record_encoding(tmp_path_factory, drawn):
+    table, n = drawn
+    records = [{name: col[i] for name, col in table.items()} for i in range(n)]
+    # the writer each table replaced: one encode call per record after the walk
+    encode = json.JSONEncoder(allow_nan=False).encode
+    lines = [encode(_finite_or_null(rec)) for rec in records]
+    body = "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
+    expected = '{\n"results": ' + body + "\n}\n"
+    path = tmp_path_factory.mktemp("t") / "out.json"
+    _write_json({"results": table}, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+    if records:
+        # a list of records is written through the same table path
+        _write_json({"results": records}, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (Table(a=np.zeros(2), b=np.zeros(3)), DimensionError),
+        (Table(a=np.zeros((2, 2))), DimensionError),
+        ([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}], InputFormatError),
+        ([{"a": 1.0}, {"a": 1.0, "b": 2.0}], InputFormatError),
+    ],
+)
+def test_malformed_tables_raise(tmp_path, value, error):
+    with pytest.raises(error):
+        _write_json({"results": value}, tmp_path / "out.json")
 
 
 def test_json_nan_past_the_walk_raises(tmp_path, monkeypatch):

@@ -49,6 +49,13 @@ def test_contrast_caches_delta():
     e2 = Contrast.unit(4, 1)
     assert np.array_equal(e2.t1, np.array([0.0, 1.0, 0.0, 0.0]))
     assert np.array_equal(e2.t2, np.zeros(4))
+    # built without __post_init__: the same arrays the constructor would give
+    ref = Contrast(e2.t1, e2.t2)
+    for got, want in ((e2.t1, ref.t1), (e2.t2, ref.t2), (e2.delta, ref.delta)):
+        assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
+    assert not np.shares_memory(e2.delta, e2.t1)
+    with pytest.raises(IndexError):
+        Contrast.unit(4, 4)
 
 
 def test_ppca_from_covariance_two_by_two():

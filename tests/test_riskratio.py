@@ -444,3 +444,32 @@ def test_binary_rv_matches_ray_oracle_m2(seed):
     # at R2 = RV the region just reaches rr = 1
     region = rr_ignorance_region(c, cc, bo, observed, rv.value)
     assert region.contains(1.0) or min(abs(region.lower - 1), abs(region.upper - 1)) < 1e-9
+
+
+_CLAMPED = {
+    "rr_single": lambda c, cc, bo, obs: rr_single(
+        c.t1, SensitivitySpec.from_gamma(np.array([0.1]), cc.sigma_u_given_t), cc, bo, obs
+    ),
+    "rr_contrast": lambda c, cc, bo, obs: rr_contrast(
+        c, SensitivitySpec.from_gamma(np.array([0.1]), cc.sigma_u_given_t), cc, bo, obs
+    ),
+    "rr_curve": lambda c, cc, bo, obs: rr_curve(c, cc, bo, obs, np.ones(1), [-0.5, 0.5]),
+    "rr_ignorance_region": lambda c, cc, bo, obs: rr_ignorance_region(
+        c, cc, bo, obs, 0.5, n_restarts=8
+    ),
+    "binary_rv": lambda c, cc, bo, obs: binary_rv(c, cc, bo, obs),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CLAMPED))
+def test_clamp_warning_names_the_caller(entry):
+    # a probit coefficient of 40 puts P(Y=1 | do(e1)) at 1 to rounding
+    cc = ConditionalConfounder(
+        coef=np.array([[0.6, 0.2]]), sigma_u_given_t=np.array([[0.5]])
+    )
+    observed = TreatmentMatrix(np.random.default_rng(0).normal(size=(40, 2)))
+    bo = BinaryOutcome(probit_coef=np.array([40.0, 0.0]), probit_intercept=0.0, p_y1=0.5)
+    with pytest.warns(UserWarning, match="clamped") as record:
+        _CLAMPED[entry](Contrast.unit(2, 0), cc, bo, observed)
+    clamps = [w for w in record if "clamped" in str(w.message)]
+    assert clamps and all(w.filename == __file__ for w in clamps)
