@@ -4,13 +4,14 @@ Every square root, inverse root and rank of a symmetric PSD matrix comes
 from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
-space. Every least-squares fit comes from qr_lstsq: an unpivoted QR that a
-dgecon estimate certifies as full rank (certified_lstsq), else a pivoted QR
-with one rank rule (|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and
-fit_proxy (through full_rank_lstsq), benchmark_table and
-partial_r2_treatment call qr_lstsq; fit_empirical calls certified_lstsq. The
-probit Newton step solves its Hessian by certified_cholesky_solve, with the
-same max(n, p) * eps condition rule.
+space. Every least-squares fit comes from basic_lstsq: the normal equations
+by a Cholesky factor of x'x that a dpocon estimate certifies, plus one
+refinement step (certified_lstsq), else a pivoted QR with one rank rule
+(|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and fit_proxy (through
+full_rank_lstsq), benchmark_table and partial_r2_treatment call basic_lstsq;
+fit_empirical calls certified_lstsq. The probit Newton step solves its
+Hessian by certified_cholesky_solve. Both Cholesky certificates use the
+condition rule of _full_rank.
 """
 from __future__ import annotations
 
@@ -118,17 +119,17 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
-class QrLstsq(NamedTuple):
-    """Least-squares fit of y on the columns of x from one QR, x[:, piv] = QR.
-    The columns piv[:rank] are a basis and beta is the basic solution, zero
-    on the dependent columns piv[rank:]. certified marks the unpivoted QR
-    with a full-rank certificate (piv the identity, rank = p)."""
+class LstsqFit(NamedTuple):
+    """Least-squares fit of y on the columns of x with r'r = x[:, piv]'x[:, piv]
+    and r upper triangular. The columns piv[:rank] are a basis and beta is
+    the basic solution, zero on the dependent columns piv[rank:]. r is the
+    certified Cholesky factor of x'x (piv the identity, rank = p) or else the
+    R of a pivoted QR; the two agree up to row signs where both exist."""
 
     beta: np.ndarray
     r: np.ndarray
     piv: np.ndarray
     rank: int
-    certified: bool
 
 
 def _full_rank(rcond: float, n: int, p: int) -> bool:
@@ -140,51 +141,79 @@ def _full_rank(rcond: float, n: int, p: int) -> bool:
     return rcond > 20 * p * max(n, p) * np.finfo(float).eps
 
 
-def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The least-squares coefficients of y on the columns of x and the R of
-    an unpivoted QR, x = QR, when a dgecon estimate on R certifies full
-    rank; None otherwise (n < p included). dgecon on R as LU factors
-    (L = I) is ?trcon."""
-    n, p = x.shape
-    if n < p:
-        return None
-    qty, r = qr_multiply(x, y, mode="right")
-    if not _full_rank(lapack.dgecon(r, np.linalg.norm(r, 1))[0], n, p):
-        return None
-    return solve_triangular(r, qty), r
-
-
-def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
-    """The solution of a x = b for a symmetric positive definite p x p
-    matrix a = X'WX formed from n rows, by a Cholesky factorization that a
-    dpocon estimate certifies as full rank under the rule of _full_rank;
-    None when dpotrf fails or the certificate does."""
+def _certified_cholesky(a: np.ndarray, n: int, floor: float = 0.0) -> np.ndarray | None:
+    """The upper Cholesky factor c, c'c = a, of a symmetric p x p matrix
+    a = X'WX formed from n rows, when dpotrf succeeds and its dpocon
+    estimate rcond exceeds floor and passes the rule of _full_rank; None
+    otherwise."""
     c, info = lapack.dpotrf(a)
     if info != 0:
         return None
     rcond, info = lapack.dpocon(c, np.linalg.norm(a, 1))
-    if info != 0 or not _full_rank(rcond, n, a.shape[0]):
+    if info != 0 or rcond <= floor or not _full_rank(rcond, n, a.shape[0]):
         return None
-    return lapack.dpotrs(c, b)[0]
+    return c
 
 
-def qr_lstsq(x: np.ndarray, y: np.ndarray) -> QrLstsq:
+def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
+    """The solution of a x = b for a symmetric positive definite p x p
+    matrix a = X'WX formed from n rows by its _certified_cholesky factor;
+    None without one."""
+    c = _certified_cholesky(a, n)
+    return None if c is None else lapack.dpotrs(c, b)[0]
+
+
+def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The least-squares coefficients b of y on the columns of x and the
+    Cholesky factor r of G = x'x, r'r = G, when a dpocon estimate rcond on
+    the unscaled G certifies it; None otherwise (n < p included).
+
+    b solves G b = x'y by dpotrs and takes one refinement step,
+    b += G^-1 x'(y - x b), two O(np) products (Bjorck 1996, sec. 2.9). The
+    certificate asks rcond > sqrt(eps) and the rule of _full_rank on G:
+    - Accuracy. The first solve errs by about kappa(G) eps relative, and a
+      refinement step multiplies that error by about kappa(G) eps, so
+      kappa(G) < 1/sqrt(eps) leaves it at rounding level, as accurate as a
+      QR solve.
+    - Verdict. _full_rank's rule on G, with its 10x allowance for the
+      estimate, gives kappa_1(G) < 1/(2 p max(n, p) eps), so
+      kappa_2(x)^2 = kappa_2(G) <= p kappa_1(G) < 1/(2 max(n, p) eps) and
+      kappa_2(x) < 1/(2 max(n, p) eps) for every n and p: what the same
+      rule on a QR's R implies, so the pivoted QR's rank rule would also
+      find full rank. On a column-scaled G the certificate would not imply
+      it: a column 1e-14 times the others passes a scale-free
+      certificate, and the pivoted rule names it as dependent."""
+    n, p = x.shape
+    if n < p:
+        return None
+    c = _certified_cholesky(x.T @ x, n, np.sqrt(np.finfo(float).eps))
+    if c is None:
+        return None
+    b = lapack.dpotrs(c, x.T @ y)[0]
+    b += lapack.dpotrs(c, x.T @ (y - x @ b))[0]
+    return b, c
+
+
+def basic_lstsq(x: np.ndarray, y: np.ndarray) -> LstsqFit:
+    """The least-squares fit of y on the columns of x at any rank: the
+    certified_lstsq fit, else a pivoted QR, x[:, piv] = QR, with rank the
+    number of |R_ii| > max|R_ii| max(n, p) eps."""
     n, p = x.shape
     fit = certified_lstsq(x, y)
     if fit is not None:
-        return QrLstsq(fit[0], fit[1], np.arange(p), p, True)
+        return LstsqFit(fit[0], fit[1], np.arange(p), p)
     qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > diag.max() * max(n, p) * np.finfo(float).eps))
     beta = np.zeros(p)
     beta[piv[:rank]] = solve_triangular(r[:rank, :rank], qty[:rank])
-    return QrLstsq(beta, r, piv, rank, False)
+    return LstsqFit(beta, r, piv, rank)
 
 
 def full_rank_lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Coefficients of y on the columns of x by qr_lstsq. SingularFitError
+    """Coefficients of y on the columns of x by basic_lstsq. SingularFitError
     names the dependent columns of a rank-deficient x."""
-    fit = qr_lstsq(x, y)
+    fit = basic_lstsq(x, y)
     if fit.rank < x.shape[1]:
         labels = [names[i] for i in sorted(fit.piv[fit.rank:])]
         raise SingularFitError(

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._linalg import as_vector, qr_lstsq
+from ._linalg import as_vector, basic_lstsq
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
@@ -49,10 +49,10 @@ def _outcome(treatments: TreatmentMatrix, y):
 
 
 def _fit_rss(t: np.ndarray, y: np.ndarray):
-    """The design [1, t], its qr_lstsq fit of y and the residual sum of
+    """The design [1, t], its basic_lstsq fit of y and the residual sum of
     squares."""
     x = np.column_stack([np.ones(t.shape[0]), t])
-    fit = qr_lstsq(x, y)
+    fit = basic_lstsq(x, y)
     resid = y - x @ fit.beta
     return x, fit, float(resid @ resid)
 
@@ -72,7 +72,7 @@ def partial_r2_treatment(treatments: TreatmentMatrix, y, j) -> float:
     """Partial R2 of treatment columns j on the outcome after controlling
     for all remaining columns: (RSS_rest - RSS_full) / RSS_rest, which is
     (R2_full - R2_rest) / (1 - R2_rest), with both intercept fits by
-    qr_lstsq.
+    basic_lstsq.
 
     Tiny negative values from floating-point rounding are clipped to zero;
     larger ones draw a warning first.
@@ -138,9 +138,10 @@ def benchmark_table(
     treatments: TreatmentMatrix, y, names: Sequence[str] | None = None
 ) -> list[tuple[str, float]]:
     """Per-column benchmark: partial R2 of each treatment given the rest,
-    from one qr_lstsq of X = [1, T], at any rank (Cinelli & Hazlett 2020).
+    from one basic_lstsq of X = [1, T], at any rank (Cinelli & Hazlett 2020).
     Dropping a basis column j raises the full RSS by beta_j^2 / V_jj, with
-    V = R11^{-1} R11^{-T} over the basis, so partial R2 is
+    V = R11^{-1} R11^{-T} over the basis, R11'R11 its Gram matrix (R the
+    certified Cholesky factor of X'X or a pivoted QR's R), so partial R2 is
     (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) = t_j^2 / (t_j^2 + df). A
     column outside the basis scores 0, and so does a basis column c that a
     dependent column i needs, |W_ci| ||x_c|| / ||x_i|| > max(n, p) eps kappa

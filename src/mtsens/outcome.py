@@ -239,10 +239,10 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     keeps the minimum-norm least-squares coefficients, the solution
     np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments)
     copies the column t_j, so certified_lstsq solves only the distinct
-    columns by one QR and each copy of t_j gets an equal share of its
-    coefficient. Without its full-rank certificate (a constant or duplicated
-    column, or t**2 = -t on {0, -1}) the full design goes to
-    np.linalg.lstsq, an SVD.
+    columns, by one Cholesky factor of their Gram matrix and one refinement
+    step, and each copy of t_j gets an equal share of its coefficient.
+    Without its full-rank certificate (a constant or duplicated column, or
+    t**2 = -t on {0, -1}) the full design goes to np.linalg.lstsq, an SVD.
 
     Residual variance uses the population convention (mean squared residual)
     since the effective degrees of freedom of a pluggable regressor are

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular
 from scipy.optimize import linprog
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
+import mtsens._linalg
 import mtsens.outcome
 from mtsens import (
     BinaryOutcome,
@@ -33,6 +34,7 @@ from mtsens import (
     save_outcome,
     SimTruth,
 )
+from mtsens._linalg import certified_lstsq
 from mtsens.outcome import _probit_mle
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
@@ -653,6 +655,85 @@ def test_certified_qr_keeps_pivoted_verdict(design):
     r = y - xs @ got
     scale = np.linalg.norm(y) + np.linalg.norm(xs) * np.linalg.norm(got)
     assert np.linalg.norm(xs.T @ r) <= 10 * n * eps * scale
+
+
+def _gram_design(n, p, log_kappa, spread, noise, seed):
+    """An n x p design whose unit-norm columns have kappa(X'X) about
+    10^log_kappa, scaled by 10^e per column, e uniform in [-spread, spread],
+    and y = X b + noise * ||X b|| / sqrt(n) * z."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(n, p)))[0]
+    v = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    z = (q * np.logspace(0, -log_kappa / 2, p)) @ v.T
+    x = z / np.linalg.norm(z, axis=0) * 10.0 ** rng.uniform(-spread, spread, size=p)
+    signal = x @ rng.normal(size=p)
+    return x, signal + noise * np.linalg.norm(signal) / np.sqrt(n) * rng.normal(size=n)
+
+
+@st.composite
+def _gram_designs(draw):
+    """Well-conditioned to near-threshold designs, kappa(X'X) from 1 to
+    about 1e8 before column scales spread over 10^-3 to 10^3, with exact,
+    nearly exact and noisy outcomes."""
+    p = draw(st.integers(1, 8))
+    return _gram_design(
+        draw(st.integers(p, 200)), p, draw(st.floats(0.0, 8.0)), draw(st.floats(0.0, 3.0)),
+        draw(st.sampled_from([0.0, 1e-12, 1e-6, 1.0])), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gram_designs())
+@example(_gram_design(40, 6, 7.5, 0.0, 0.0, 1))
+@example(_gram_design(200, 8, 6.0, 0.5, 1e-12, 2))
+def test_certified_gram_fit_matches_qr(design):
+    x, y = design
+    n, p = x.shape
+    fit = certified_lstsq(x, y)
+    if fit is None:
+        return
+    b, r = fit
+    np.testing.assert_allclose(r.T @ r, x.T @ x, rtol=1e-12, atol=1e-12 * np.abs(x.T @ x).max())
+    assert _rank_check_names(x, [str(j) for j in range(p)]) == []
+    # per unit-norm column, against an unpivoted QR solve, within the
+    # least-squares perturbation bound of test_certified_qr_keeps_pivoted_verdict
+    norms = np.linalg.norm(x, axis=0)
+    xs = x / norms
+    got = b * norms
+    q, rs = qr(xs, mode="economic")
+    ref = solve_triangular(rs, q.T @ y)
+    eps = np.finfo(float).eps
+    kappa = np.linalg.cond(xs)
+    resid = np.linalg.norm(y - xs @ ref)
+    bound = 2 * n * eps * kappa * (
+        2 + (kappa + 1) * resid / (np.linalg.norm(xs, 2) * np.linalg.norm(ref))
+    )
+    assert np.linalg.norm(got - ref) <= max(1e-10, bound) * np.linalg.norm(ref)
+    res = y - xs @ got
+    scale = np.linalg.norm(y) + np.linalg.norm(xs) * np.linalg.norm(got)
+    assert np.linalg.norm(xs.T @ res) <= 10 * n * eps * scale
+
+
+@pytest.mark.parametrize("n, k", [(2500, 500), (2000, 200), (1000, 100), (500, 20)])
+def test_benchmark_designs_take_one_cholesky_and_no_qr(monkeypatch, n, k):
+    calls = {"dpotrf": 0, "qr_multiply": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mtsens._linalg.lapack, "dpotrf")
+    counted(mtsens._linalg, "qr_multiply")
+    data = gen_gwas(n=n, k=k, m=3, seed=0)
+    fit_linear(data.treatments, data.y)
+    assert calls == {"dpotrf": 1, "qr_multiply": 0}
+    fit_empirical(data.treatments, data.y, degree=2)
+    assert calls == {"dpotrf": 2, "qr_multiply": 0}
 
 
 @pytest.mark.parametrize("seed", range(4))
