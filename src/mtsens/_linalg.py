@@ -5,13 +5,15 @@ from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
 space. Every least-squares fit comes from basic_lstsq: the normal equations
-by a Cholesky factor of x'x that a dpocon estimate certifies, plus one
+by a Cholesky factor of x'x that dpocon estimates certify, plus one
 refinement step (certified_lstsq), else a pivoted QR with one rank rule
 (|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and fit_proxy (through
 full_rank_lstsq), benchmark_table and partial_r2_treatment call basic_lstsq;
 fit_empirical calls certified_lstsq. The probit Newton step solves its
 Hessian by certified_cholesky_solve. Both Cholesky certificates use the
-condition rule of _full_rank.
+condition rule of _full_rank; certified_lstsq takes it on the square root
+of a bound on rcond(x'x), since kappa(x'x) = kappa(x)^2, and also asks
+rcond > sqrt(eps) of x'x with unit-norm columns.
 """
 from __future__ import annotations
 
@@ -141,53 +143,56 @@ def _full_rank(rcond: float, n: int, p: int) -> bool:
     return rcond > 20 * p * max(n, p) * np.finfo(float).eps
 
 
-def _certified_cholesky(a: np.ndarray, n: int, floor: float = 0.0) -> np.ndarray | None:
-    """The upper Cholesky factor c, c'c = a, of a symmetric p x p matrix
-    a = X'WX formed from n rows, when dpotrf succeeds and its dpocon
-    estimate rcond exceeds floor and passes the rule of _full_rank; None
-    otherwise."""
+def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
+    """The solution of a x = b for a symmetric positive definite p x p
+    matrix a = X'WX formed from n rows, by a Cholesky factorization that a
+    dpocon estimate certifies as full rank under the rule of _full_rank;
+    None when dpotrf fails or the certificate does."""
     c, info = lapack.dpotrf(a)
     if info != 0:
         return None
     rcond, info = lapack.dpocon(c, np.linalg.norm(a, 1))
-    if info != 0 or rcond <= floor or not _full_rank(rcond, n, a.shape[0]):
+    if info != 0 or not _full_rank(rcond, n, a.shape[0]):
         return None
-    return c
-
-
-def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
-    """The solution of a x = b for a symmetric positive definite p x p
-    matrix a = X'WX formed from n rows by its _certified_cholesky factor;
-    None without one."""
-    c = _certified_cholesky(a, n)
-    return None if c is None else lapack.dpotrs(c, b)[0]
+    return lapack.dpotrs(c, b)[0]
 
 
 def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The least-squares coefficients b of y on the columns of x and the
-    Cholesky factor r of G = x'x, r'r = G, when a dpocon estimate rcond on
-    the unscaled G certifies it; None otherwise (n < p included).
+    Cholesky factor r of G = x'x, r'r = G, when a dpocon estimate rcond of
+    the equilibrated G_s = D^-1 G D^-1, D = diag(G)^1/2, whose factor is
+    r D^-1, certifies it; None otherwise (n < p included).
 
     b solves G b = x'y by dpotrs and takes one refinement step,
-    b += G^-1 x'(y - x b), two O(np) products (Bjorck 1996, sec. 2.9). The
-    certificate asks rcond > sqrt(eps) and the rule of _full_rank on G:
-    - Accuracy. The first solve errs by about kappa(G) eps relative, and a
-      refinement step multiplies that error by about kappa(G) eps, so
-      kappa(G) < 1/sqrt(eps) leaves it at rounding level, as accurate as a
-      QR solve.
-    - Verdict. _full_rank's rule on G, with its 10x allowance for the
-      estimate, gives kappa_1(G) < 1/(2 p max(n, p) eps), so
-      kappa_2(x)^2 = kappa_2(G) <= p kappa_1(G) < 1/(2 max(n, p) eps) and
-      kappa_2(x) < 1/(2 max(n, p) eps) for every n and p: what the same
-      rule on a QR's R implies, so the pivoted QR's rank rule would also
-      find full rank. On a column-scaled G the certificate would not imply
-      it: a column 1e-14 times the others passes a scale-free
-      certificate, and the pivoted rule names it as dependent."""
+    b += G^-1 x'(y - x b), two O(np) products (Bjorck 1996, sec. 2.9).
+    - Accuracy: rcond > sqrt(eps). Forming G and factoring it err by eps
+      relative to the columns of x, so the error of b per unit-norm column
+      follows kappa(G_s), whatever the column scales (van der Sluis 1969).
+      The first solve errs by about kappa(G_s) eps relative, and a
+      refinement step multiplies that error by about kappa(G_s) eps, so
+      kappa(G_s) < 1/sqrt(eps) leaves it at rounding level, as accurate as
+      a QR solve.
+    - Verdict: sqrt(rcond) d_min / d_max, over the diagonal d of D, passes
+      the rule of _full_rank. kappa_2(G) <= kappa_2(G_s) kappa_2(D)^2 and,
+      G_s being symmetric, kappa_2(G_s) <= kappa_1(G_s), so with the rule's
+      10x allowance for the estimate kappa_2(x)^2 = kappa_2(G) <
+      10 / (20 p max(n, p) eps)^2 and kappa_2(x) < 1/(6 p max(n, p) eps),
+      inside the 1/(2 max(n, p) eps) that the same rule on a QR's R
+      implies: the pivoted QR's rank rule also finds full rank, for every n
+      and p. Without the factor d_min / d_max it would not: a column 1e-14
+      times the others passes the scale-free accuracy rule, and the pivoted
+      rule names it as dependent."""
     n, p = x.shape
     if n < p:
         return None
-    c = _certified_cholesky(x.T @ x, n, np.sqrt(np.finfo(float).eps))
-    if c is None:
+    g = x.T @ x
+    c, info = lapack.dpotrf(g)
+    if info != 0:
+        return None
+    d = np.sqrt(np.diag(g))
+    rcond, info = lapack.dpocon(c / d, np.linalg.norm(g / np.outer(d, d), 1))
+    verdict = _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, p)
+    if info != 0 or rcond <= np.sqrt(np.finfo(float).eps) or not verdict:
         return None
     b = lapack.dpotrs(c, x.T @ y)[0]
     b += lapack.dpotrs(c, x.T @ (y - x @ b))[0]

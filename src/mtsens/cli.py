@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import math
@@ -535,11 +534,7 @@ def cmd_simulate(args, prov: dict) -> int:
 # -------------------------------------------------------------------- wiring
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, and main dispatches on the subcommand's name, so a patched
-    cmd_* function is still the one called."""
     parser = argparse.ArgumentParser(
         prog="mtsens",
         description=(
@@ -569,6 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--degree", type=int, default=2, help="empirical-mean degree")
     p.add_argument("--out-dir", default="models")
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bounds", help="ignorance regions over an r2 grid")
     p.add_argument("--models", default="models")
@@ -576,12 +572,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-unitwise", action="store_true")
     p.add_argument("--r2", default="1.0", help="value, comma list, or start:stop:count")
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("rv", help="robustness values per contrast")
     p.add_argument("--models", default="models")
     p.add_argument("--contrast")
     p.add_argument("--all-unitwise", action="store_true")
     p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_rv)
 
     p = sub.add_parser("calibrate", help="observable benchmark partial R2 table")
     p.add_argument("--treatments", required=True)
@@ -590,6 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--outcome-kind", choices=("gaussian", "probit"), default="gaussian"
     )
     p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("mcc", help="norm-minimizing candidate causal model")
     p.add_argument("--models", default="models")
@@ -601,6 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="recorded only; every norm's solve is deterministic"
     )
     p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=cmd_mcc)
 
     p = sub.add_parser("rr", help="binary-outcome risk-ratio curve")
     p.add_argument("--models", default="models")
@@ -610,11 +610,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default=None, help="comma-separated, normalized")
     p.add_argument("--grid", default="-1:1:201", help="signed r2 grid")
     p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_rr)
 
     p = sub.add_parser("proxy", help="proxy-variable sensitivity analysis")
     p.add_argument("--data", required=True, help="3-column CSV: outcome, treatment, proxy")
     p.add_argument("--sigma-u2", default=None, help="evaluate tau at these values")
     p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_proxy)
 
     p = sub.add_parser("simulate", help="generate a preset dataset")
     p.add_argument(
@@ -630,6 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2-cap", type=float, default=1.0, help="rotation: r2 level")
     p.add_argument("--n-theta", type=int, default=50, help="rotation: grid size")
     p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -640,14 +643,15 @@ def _error_payload(exc: BaseException) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     prov = {
         "command": "mtsens " + " ".join(argv),
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
     try:
-        return globals()["cmd_" + args.command](args, prov)
+        return args.func(args, prov)
     except ConvergenceError as exc:
         print(_error_payload(exc), file=sys.stderr)
         return 3

@@ -744,49 +744,6 @@ def test_unknown_preset_argparse_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def _run_in(directory, calls, monkeypatch, capsys):
-    """Exit code, stdout and stderr of each main call, run in order in
-    directory, and the bytes of every file the calls wrote there."""
-    monkeypatch.chdir(directory)
-    results = []
-    for argv in calls:
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        captured = capsys.readouterr()
-        results.append((rc, captured.out, captured.err))
-    files = {str(p.relative_to(directory)): p.read_bytes()
-             for p in sorted(directory.rglob("*")) if p.is_file()}
-    return results, files
-
-
-def test_parser_built_once_behaves_as_a_fresh_one(tmp_path, monkeypatch, capsys):
-    calls = [
-        ["simulate", "--preset", "linear", "--seed", "3", "--n", "200"],
-        ["fit", "--treatments", "linear_data.csv", "--outcome", "y", "--m", "1"],
-        ["bounds", "--contrast", "e1", "--bogus"],
-        ["rv", "--contrast", "e1"],
-        ["bounds", "--contrast", "e1", "--r2", "0.5,1", "--out", "bounds.json"],
-        ["calibrate", "--treatments", "linear_data.csv", "--outcome", "y"],
-        ["fit", "--treatments", "linear_data.csv", "--outcome", "y", "--m", "1",
-         "--outcome-kind", "empirical", "--out-dir", "models_emp"],
-        ["bounds", "--models", "models_emp", "--contrast", "e2"],
-    ]
-    (tmp_path / "cached").mkdir()
-    (tmp_path / "fresh").mkdir()
-    cached = _run_in(tmp_path / "cached", calls, monkeypatch, capsys)
-    assert cli._build_parser() is cli._build_parser()
-    # the same calls, each through a parser built for it alone
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-    fresh = _run_in(tmp_path / "fresh", calls, monkeypatch, capsys)
-    assert [rc for rc, _, _ in cached[0]] == [0, 0, 2, 0, 0, 0, 0, 0]
-    assert "--bogus" in cached[0][2][2]
-    assert cached == fresh
-    # the defaulted --out-dir of simulate and fit
-    assert {"linear_data.csv", "models/outcome.json"} <= set(cached[1])
-
-
 def test_console_script_version():
     # the child imports the same mtsens as this process, installed or not
     package_root = str(Path(mtsens.__file__).resolve().parents[1])

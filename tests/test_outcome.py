@@ -682,16 +682,10 @@ def _gram_designs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_gram_designs())
-@example(_gram_design(40, 6, 7.5, 0.0, 0.0, 1))
-@example(_gram_design(200, 8, 6.0, 0.5, 1e-12, 2))
-def test_certified_gram_fit_matches_qr(design):
-    x, y = design
+def _check_gram_fit(x, y, fit):
+    """The checks on a certified_lstsq fit of y on x: r'r = x'x, the pivoted
+    QR's rank rule finds full rank, and b matches an unpivoted QR solve."""
     n, p = x.shape
-    fit = certified_lstsq(x, y)
-    if fit is None:
-        return
     b, r = fit
     np.testing.assert_allclose(r.T @ r, x.T @ x, rtol=1e-12, atol=1e-12 * np.abs(x.T @ x).max())
     assert _rank_check_names(x, [str(j) for j in range(p)]) == []
@@ -714,26 +708,72 @@ def test_certified_gram_fit_matches_qr(design):
     assert np.linalg.norm(xs.T @ res) <= 10 * n * eps * scale
 
 
-@pytest.mark.parametrize("n, k", [(2500, 500), (2000, 200), (1000, 100), (500, 20)])
-def test_benchmark_designs_take_one_cholesky_and_no_qr(monkeypatch, n, k):
-    calls = {"dpotrf": 0, "qr_multiply": 0}
+@settings(max_examples=300, deadline=None)
+@given(_gram_designs())
+@example(_gram_design(40, 6, 7.5, 0.0, 0.0, 1))
+@example(_gram_design(200, 8, 6.0, 0.5, 1e-12, 2))
+def test_certified_gram_fit_matches_qr(design):
+    x, y = design
+    fit = certified_lstsq(x, y)
+    if fit is not None:
+        _check_gram_fit(x, y, fit)
+
+
+# The unscaled x'x has rcond 7e-10 and 2e-15 here, below sqrt(eps) and below
+# 20 p max(n, p) eps (1.8e-8 in the first row, p max(n, p) = 4e6): either
+# rule on the rcond of x'x itself would refuse these designs, which are well
+# conditioned once their columns are scaled.
+@pytest.mark.parametrize("n, p, log_kappa, spread", [(200_000, 20, 2.0, 4.0), (300, 5, 4.0, 6.0)])
+def test_column_scales_and_long_designs_keep_the_certificate(n, p, log_kappa, spread):
+    x, y = _gram_design(n, p, log_kappa, 0.0, 1.0, 3)
+    x *= np.logspace(-spread / 2, spread / 2, p)
+    fit = certified_lstsq(x, y)
+    assert fit is not None
+    _check_gram_fit(x, y, fit)
+
+
+def _gwas_design(n, k):
+    data = gen_gwas(n=n, k=k, m=3, seed=0)
+    return data.treatments, data.y
+
+
+def _raw_unit_design(mean, sd):
+    """Continuous treatments in raw units: [1, T, T^2] has kappa(x'x) from
+    5e8 to 5e16 at the means and sds used, and below 1e6 once its columns
+    are scaled."""
+    rng = np.random.default_rng(5)
+    t = rng.normal(mean, sd, size=(1000, 3))
+    return TreatmentMatrix(t), (t - mean) @ np.array([1.0, -0.5, 0.2]) / sd + rng.normal(size=1000)
+
+
+# the four benchmark shapes, then raw-unit treatments; no silent fallback
+# to the pivoted QR or the SVD
+@pytest.mark.parametrize("make, args", [
+    (_gwas_design, (2500, 500)), (_gwas_design, (2000, 200)), (_gwas_design, (1000, 100)),
+    (_gwas_design, (500, 20)), (_raw_unit_design, (100.0, 30.0)),
+    (_raw_unit_design, (100.0, 10.0)), (_raw_unit_design, (10.0, 1.0)),
+    (_raw_unit_design, (1000.0, 100.0)),
+])
+def test_well_conditioned_designs_take_one_cholesky_and_no_qr(monkeypatch, make, args):
+    tm, y = make(*args)
+    calls = {"dpotrf": 0, "qr_multiply": 0, "lstsq": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(*a, **kw):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return fn(*a, **kw)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(mtsens._linalg.lapack, "dpotrf")
     counted(mtsens._linalg, "qr_multiply")
-    data = gen_gwas(n=n, k=k, m=3, seed=0)
-    fit_linear(data.treatments, data.y)
-    assert calls == {"dpotrf": 1, "qr_multiply": 0}
-    fit_empirical(data.treatments, data.y, degree=2)
-    assert calls == {"dpotrf": 2, "qr_multiply": 0}
+    counted(np.linalg, "lstsq")
+    fit_linear(tm, y)
+    assert calls == {"dpotrf": 1, "qr_multiply": 0, "lstsq": 0}
+    fit_empirical(tm, y, degree=2)
+    assert calls == {"dpotrf": 2, "qr_multiply": 0, "lstsq": 0}
 
 
 @pytest.mark.parametrize("seed", range(4))
