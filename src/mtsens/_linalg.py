@@ -4,16 +4,18 @@ Every square root, inverse root and rank of a symmetric PSD matrix comes
 from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
-space. Every least-squares fit comes from basic_lstsq: the normal equations
-by a Cholesky factor of x'x that dpocon estimates certify, plus one
-refinement step (certified_lstsq), else a pivoted QR with one rank rule
-(|R_ii| > max|R_ii| * max(n, p) * eps). fit_linear and fit_proxy (through
-full_rank_lstsq), benchmark_table and partial_r2_treatment call basic_lstsq;
-fit_empirical calls certified_lstsq. The probit Newton step solves its
-Hessian by certified_cholesky_solve. Both Cholesky certificates use the
-condition rule of _full_rank; certified_lstsq takes it on the square root
-of a bound on rcond(x'x), since kappa(x'x) = kappa(x)^2, and also asks
-rcond > sqrt(eps) of x'x with unit-norm columns.
+space. Every least-squares fit solves normal equations through a Gram
+matrix that certified_gram factors and certifies, by dpocon estimates on
+the equilibrated Gram (rcond > sqrt(eps) for accuracy, and the condition
+rule of _full_rank on its square root, since kappa(x'x) = kappa(x)^2, for
+the verdict), plus one refinement step; without the certificate a pivoted
+QR with one rank rule (|R_ii| > max|R_ii| * max(n, p) * eps) decides.
+fit_linear solves from the centered Gram that the factor model also uses
+(centered_lstsq), else goes to full_rank_lstsq on [1, T]. fit_proxy
+(through full_rank_lstsq), benchmark_table and partial_r2_treatment call
+basic_lstsq, which tries certified_lstsq on x'x first; fit_empirical calls
+certified_lstsq, else an SVD. The probit Newton step solves its Hessian by
+certified_cholesky_solve, under the same _full_rank rule.
 """
 from __future__ import annotations
 
@@ -157,46 +159,83 @@ def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray
     return lapack.dpotrs(c, b)[0]
 
 
-def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The least-squares coefficients b of y on the columns of x and the
-    Cholesky factor r of G = x'x, r'r = G, when a dpocon estimate rcond of
-    the equilibrated G_s = D^-1 G D^-1, D = diag(G)^1/2, whose factor is
-    r D^-1, certifies it; None otherwise (n < p included).
-
-    b solves G b = x'y by dpotrs and takes one refinement step,
-    b += G^-1 x'(y - x b), two O(np) products (Bjorck 1996, sec. 2.9).
-    - Accuracy: rcond > sqrt(eps). Forming G and factoring it err by eps
-      relative to the columns of x, so the error of b per unit-norm column
-      follows kappa(G_s), whatever the column scales (van der Sluis 1969).
-      The first solve errs by about kappa(G_s) eps relative, and a
-      refinement step multiplies that error by about kappa(G_s) eps, so
-      kappa(G_s) < 1/sqrt(eps) leaves it at rounding level, as accurate as
-      a QR solve.
+def certified_gram(g: np.ndarray, n: int, intercept: bool = False) -> np.ndarray | None:
+    """The upper Cholesky factor c of the Gram matrix g = x'x of an n-row
+    design x, c'c = g, when a dpocon estimate rcond of the equilibrated
+    G_s = D^-1 g D^-1, D = diag(g)^1/2, whose factor is c D^-1, certifies
+    it; None otherwise, and before equilibrating when D has a zero (a zero
+    column of x). A positive multiple of g certifies as g does.
+    - Accuracy: rcond > sqrt(eps). Forming g and factoring it err by eps
+      relative to the columns of x, so the error of a normal-equations
+      solve per unit-norm column follows kappa(G_s), whatever the column
+      scales (van der Sluis 1969). The first solve errs by about
+      kappa(G_s) eps relative, and a refinement step multiplies that error
+      by about kappa(G_s) eps, so kappa(G_s) < 1/sqrt(eps) leaves it at
+      rounding level, as accurate as a QR solve.
     - Verdict: sqrt(rcond) d_min / d_max, over the diagonal d of D, passes
-      the rule of _full_rank. kappa_2(G) <= kappa_2(G_s) kappa_2(D)^2 and,
-      G_s being symmetric, kappa_2(G_s) <= kappa_1(G_s), so with the rule's
-      10x allowance for the estimate kappa_2(x)^2 = kappa_2(G) <
-      10 / (20 p max(n, p) eps)^2 and kappa_2(x) < 1/(6 p max(n, p) eps),
-      inside the 1/(2 max(n, p) eps) that the same rule on a QR's R
-      implies: the pivoted QR's rank rule also finds full rank, for every n
-      and p. Without the factor d_min / d_max it would not: a column 1e-14
-      times the others passes the scale-free accuracy rule, and the pivoted
-      rule names it as dependent."""
-    n, p = x.shape
-    if n < p:
+      the rule of _full_rank for p columns. kappa_2(g) <= kappa_2(G_s)
+      kappa_2(D)^2 and, G_s being symmetric, kappa_2(G_s) <= kappa_1(G_s),
+      so with the rule's 10x allowance for the estimate kappa_2(x)^2 =
+      kappa_2(g) < 10 / (20 p max(n, p) eps)^2 and kappa_2(x) <
+      1/(6 p max(n, p) eps), inside the 1/(2 max(n, p) eps) that the same
+      rule on a QR's R implies: the pivoted QR's rank rule also finds full
+      rank, for every n and p. Without the factor d_min / d_max it would
+      not: a column 1e-14 times the others passes the scale-free accuracy
+      rule, and the pivoted rule names it as dependent.
+    With intercept, g is the covariance x_c'x_c / n of centered columns
+    x_c, and the design is [1, x_c]: its Gram over n, blockdiag(1, g),
+    equilibrates to blockdiag(1, G_s), whose rcond is that of G_s, and the
+    verdict counts the intercept column, with d = 1."""
+    d = np.sqrt(np.diag(g))
+    if not d.all():
         return None
-    g = x.T @ x
     c, info = lapack.dpotrf(g)
     if info != 0:
         return None
-    d = np.sqrt(np.diag(g))
     rcond, info = lapack.dpocon(c / d, np.linalg.norm(g / np.outer(d, d), 1))
-    verdict = _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, p)
+    if intercept:
+        d = np.append(d, 1.0)
+    verdict = _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, d.size)
     if info != 0 or rcond <= np.sqrt(np.finfo(float).eps) or not verdict:
+        return None
+    return c
+
+
+def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The least-squares coefficients b of y on the columns of x and the
+    certified_gram factor r of G = x'x, r'r = G; None without the
+    certificate (n < p included). b solves G b = x'y by dpotrs and takes
+    one refinement step, b += G^-1 x'(y - x b), two O(np) products
+    (Bjorck 1996, sec. 2.9)."""
+    n, p = x.shape
+    if n < p:
+        return None
+    c = certified_gram(x.T @ x, n)
+    if c is None:
         return None
     b = lapack.dpotrs(c, x.T @ y)[0]
     b += lapack.dpotrs(c, x.T @ (y - x @ b))[0]
     return b, c
+
+
+def centered_lstsq(t: np.ndarray, y: np.ndarray, means: np.ndarray,
+                   cov: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The intercept a and slopes b of the least-squares fit of y on [1, t],
+    from the column means of t and cov = t_c't_c / n, t_c = t - means, when
+    certified_gram certifies cov for the design [1, t_c]; None otherwise.
+    b solves cov b = t_c'(y - mean(y)) / n and takes one refinement step,
+    as in certified_lstsq, and a = mean(y) - means'b. The products t_c'v
+    are formed as t'v - means sum(v), so t_c is never stored."""
+    n = t.shape[0]
+    c = certified_gram(cov, n, intercept=True)
+    if c is None:
+        return None
+    ybar = float(y.mean())
+    r = y - ybar
+    b = lapack.dpotrs(c, (t.T @ r - means * r.sum()) / n)[0]
+    r -= t @ b - means @ b
+    b += lapack.dpotrs(c, (t.T @ r - means * r.sum()) / n)[0]
+    return ybar - float(means @ b), b
 
 
 def basic_lstsq(x: np.ndarray, y: np.ndarray) -> LstsqFit:

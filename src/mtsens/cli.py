@@ -28,7 +28,6 @@ from .factor import (
     Contrast,
     Table,
     TreatmentMatrix,
-    _fit_ppca,
     _moments,
     _distinct_reprs,
     _select_dim,
@@ -134,12 +133,17 @@ def _outcome_column(names: list[str], outcome: str) -> int | None:
 
 def _split_outcome(names: list[str], data: np.ndarray, outcome: str):
     """Outcome given as a column name in the treatment table or as a
-    separate single-column CSV path."""
+    separate single-column CSV path. The treatments are a view of data when
+    the outcome is its first or last column, and a copy otherwise."""
     j = _outcome_column(names, outcome)
     if j is not None:
-        y = data[:, j]
-        keep = [i for i in range(len(names)) if i != j]
-        return y, data[:, keep], [names[i] for i in keep]
+        if j == len(names) - 1:
+            t = data[:, :j]
+        elif j == 0:
+            t = data[:, 1:]
+        else:
+            t = np.delete(data, j, axis=1)
+        return data[:, j], t, names[:j] + names[j + 1:]
     _, ydata = _read_table(outcome)
     if ydata.shape[1] != 1:
         raise InputFormatError(f"outcome file {outcome} must have one column")
@@ -241,17 +245,14 @@ def cmd_fit(args, prov: dict) -> int:
     names, data = _read_table(args.treatments)
     y, t_data, _ = _split_outcome(names, data, args.outcome)
     tm = TreatmentMatrix(t_data)
-    if args.m is not None:
-        m = args.m
-        fm = fit_ppca(tm, m)
-    else:
-        # one covariance for the dimension choice and the fit
-        means, cov = _moments(tm)
-        m = _select_dim(tm, cov, args.select_dim)
-        fm = _fit_ppca(tm, m, means, cov)
+    # one centered Gram for the dimension choice, the factor model and the
+    # linear fit
+    moments = _moments(tm)
+    m = args.m if args.m is not None else _select_dim(tm, moments[1], args.select_dim)
+    fm = fit_ppca(tm, m, moments=moments)
     cc = conditional_confounder(fm)
     if args.outcome_kind == "gaussian":
-        outcome = fit_linear(tm, y)
+        outcome = fit_linear(tm, y, moments=moments)
         extra = f"sigma2_y_given_t = {outcome.sigma2_y_given_t:.6g}"
     elif args.outcome_kind == "probit":
         outcome = fit_probit(tm, y)

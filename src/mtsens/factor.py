@@ -247,29 +247,28 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
 
 
 def _moments(treatments: TreatmentMatrix):
-    """Column means and the k x k covariance (divisor n) of the treatments."""
+    """Column means and the k x k covariance (divisor n) of the treatments.
+    n times the covariance is the centered Gram matrix T_c'T_c, the one
+    matrix behind the factor model, select_dim and fit_linear's slopes."""
     means = treatments.data.mean(axis=0)
     centered = treatments.data - means
     return means, (centered.T @ centered) / treatments.n
 
 
-def fit_ppca(treatments: TreatmentMatrix, m: int) -> FactorModel:
+def fit_ppca(treatments: TreatmentMatrix, m: int, *, moments=None) -> FactorModel:
     """Maximum-likelihood factor model for the observed treatments.
 
     Columns are centered internally; the removed means are stored on the
     returned model so downstream code can keep working with raw t vectors.
+    moments are the treatments' _moments, when the caller has them.
     """
-    return _fit_ppca(treatments, m, *_moments(treatments))
-
-
-def _fit_ppca(treatments: TreatmentMatrix, m: int, means, cov) -> FactorModel:
-    """fit_ppca from the treatments' _moments."""
     n, k = treatments.n, treatments.k
     if n <= k:
         warnings.warn(
             f"n={n} <= k={k}: factor model estimates will be unstable",
-            stacklevel=3,
+            stacklevel=2,
         )
+    means, cov = _moments(treatments) if moments is None else moments
     return ppca_from_covariance(cov, m, treatment_means=means)
 
 
@@ -449,12 +448,19 @@ def _table_lines(table: Table) -> list[str]:
 
 def _json_text(value) -> str:
     """The JSON text of one top-level value. A Table (a list of records is
-    turned into one) or a list of rows gets a record or row per line;
-    anything else goes through _finite_or_null onto one line."""
+    turned into one), a list of rows or a 2-d float array gets a record or
+    row per line; a 1-d float array goes onto one line, and anything else
+    through _finite_or_null. Float arrays are formatted by _distinct_reprs,
+    as the walk would format their .tolist()."""
     if type(value) in (list, tuple) and value and type(value[0]) is dict:
         value = _records_table(value)
     if isinstance(value, Table):
         lines = _table_lines(value)
+    elif type(value) is np.ndarray and value.dtype.kind == "f" and value.ndim in (1, 2):
+        text = _distinct_reprs(value, "null").tolist()
+        if value.ndim == 1:
+            return "[" + ", ".join(text) + "]"
+        lines = ["[" + ", ".join(row) + "]" for row in text]
     else:
         value = _finite_or_null(value)
         if not (type(value) is list and value and type(value[0]) is list):
@@ -493,9 +499,9 @@ def save_confounder(cc: ConditionalConfounder, path, provenance: dict | None = N
     payload = {
         "m": cc.m,
         "k": cc.k,
-        "coef": cc.coef.tolist(),
-        "sigma_u_given_t": cc.sigma_u_given_t.tolist(),
-        "treatment_means": cc.treatment_means.tolist(),
+        "coef": cc.coef,
+        "sigma_u_given_t": cc.sigma_u_given_t,
+        "treatment_means": cc.treatment_means,
     }
     _write_json(payload, path, provenance)
 
@@ -530,10 +536,10 @@ def save_factor_model(fm: FactorModel, path, provenance: dict | None = None) -> 
     payload = {
         "k": fm.k,
         "m": fm.m,
-        "b_hat": fm.b_hat.tolist(),
+        "b_hat": fm.b_hat,
         "sigma2_t_given_u": fm.sigma2_t_given_u,
-        "singular_values": fm.singular_values.tolist(),
-        "treatment_means": fm.treatment_means.tolist(),
+        "singular_values": fm.singular_values,
+        "treatment_means": fm.treatment_means,
     }
     _write_json(payload, path, provenance)
 

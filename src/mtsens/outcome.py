@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._linalg import certified_cholesky_solve, certified_lstsq, full_rank_lstsq
+from ._linalg import centered_lstsq, certified_cholesky_solve, certified_lstsq, full_rank_lstsq
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
-from .factor import TreatmentMatrix, _read_json, _write_json
+from .factor import TreatmentMatrix, _moments, _read_json, _write_json
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -120,17 +120,31 @@ class PolynomialMeanFn:
         return float(out[0]) if single else out
 
 
-def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
-    """Ordinary least squares of y on the treatments, with intercept."""
+def fit_linear(treatments: TreatmentMatrix, y, *, moments=None) -> GaussianOutcome:
+    """Ordinary least squares of y on the treatments, with intercept.
+
+    The slopes come from the centered Gram matrix that fit_ppca factors
+    too, n times the covariance of _moments (passed as moments when the
+    caller has them), by centered_lstsq: a certified Cholesky solve and one
+    refinement step. Without its certificate (a constant or duplicated
+    column, say) the design [1, T] goes to full_rank_lstsq, whose
+    SingularFitError names the dependent columns.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     n, k = treatments.n, treatments.k
     if y.shape[0] != n:
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
-    x = np.column_stack([np.ones(n), treatments.data])
-    beta = full_rank_lstsq(x, y, ["intercept"] + treatments.names())
-    resid = y - x @ beta
+    t = treatments.data
+    fit = centered_lstsq(t, y, *(_moments(treatments) if moments is None else moments))
+    if fit is None:
+        beta = full_rank_lstsq(
+            np.column_stack([np.ones(n), t]), y, ["intercept"] + treatments.names()
+        )
+        fit = float(beta[0]), beta[1:]
+    intercept, tau = fit
+    resid = y - intercept - t @ tau
     sigma2 = float(resid @ resid) / (n - k - 1)
     # relative to var(y), so the verdict does not depend on the units of y;
     # eps mean(y^2) is the rounding level of var(y) for a constant y
@@ -142,7 +156,7 @@ def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
             stacklevel=2,
         )
         sigma2 = max(sigma2, 1e-300)
-    return GaussianOutcome(tau_naive=beta[1:], intercept=float(beta[0]), sigma2_y_given_t=sigma2)
+    return GaussianOutcome(tau_naive=tau, intercept=intercept, sigma2_y_given_t=sigma2)
 
 
 def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float = 1e-8) -> BinaryOutcome:
@@ -356,14 +370,14 @@ def save_outcome(model, path, provenance: dict | None = None) -> None:
     if isinstance(model, GaussianOutcome):
         payload = {
             "kind": "gaussian",
-            "tau_naive": model.tau_naive.tolist(),
+            "tau_naive": model.tau_naive,
             "intercept": model.intercept,
             "sigma2_y_given_t": model.sigma2_y_given_t,
         }
     elif isinstance(model, BinaryOutcome):
         payload = {
             "kind": "probit",
-            "probit_coef": model.probit_coef.tolist(),
+            "probit_coef": model.probit_coef,
             "probit_intercept": model.probit_intercept,
             "p_y1": model.p_y1,
         }
@@ -379,9 +393,9 @@ def save_outcome(model, path, provenance: dict | None = None) -> None:
                 "type": "polynomial",
                 "degree": fn.degree,
                 "intercept": fn.intercept,
-                "coef": np.asarray(fn.coef, dtype=float).tolist(),
+                "coef": np.asarray(fn.coef, dtype=float),
             },
-            "residual_quantiles": model.residual_quantiles.tolist(),
+            "residual_quantiles": model.residual_quantiles,
             "sigma2_y_given_t": model.sigma2_y_given_t,
         }
     else:

@@ -179,6 +179,83 @@ def test_fit_select_dim_matches_fixed_m(tmp_path, capsys):
         assert docs[0] == docs[1], fname
 
 
+def _write_csv(path, names, data):
+    rows = [",".join(map(repr, row)) for row in np.asarray(data).tolist()]
+    path.write_text(",".join(names) + "\n" + "\n".join(rows) + "\n")
+
+
+def _model_lines(models_dir, fname):
+    """A model file's lines without its provenance."""
+    lines = (models_dir / fname).read_text().splitlines()
+    return [line for line in lines if not line.startswith('"_provenance"')]
+
+
+def test_fit_model_files_do_not_depend_on_where_the_outcome_is(tmp_path, capsys):
+    # outcome as the first, middle or last column (the treatments a view or
+    # a copy of the table) or as its own file: the same model files, and the
+    # same arrays as the API's fits, bit for bit
+    data = mtsens.gen_gwas(n=300, k=12, m=3, seed=4)
+    t, y = data.treatments.data, data.y
+    names = [f"t{j + 1}" for j in range(12)]
+    for where, at in (("first", 0), ("middle", 6), ("last", 12)):
+        _write_csv(tmp_path / f"{where}.csv", names[:at] + ["y"] + names[at:],
+                   np.insert(t, at, y, axis=1))
+    _write_csv(tmp_path / "t.csv", names, t)
+    _write_csv(tmp_path / "y.csv", ["y"], y[:, None])
+    runs = {where: (tmp_path / f"{where}.csv", "y") for where in ("first", "middle", "last")}
+    runs["file"] = (tmp_path / "t.csv", str(tmp_path / "y.csv"))
+    for where, (csv_path, outcome) in runs.items():
+        rc, _, err = _run(["fit", "--treatments", str(csv_path), "--outcome", outcome,
+                           "--m", "3", "--out-dir", str(tmp_path / where)], capsys)
+        assert rc == 0, err
+    files = ("factor_model.json", "confounder.json", "outcome.json")
+    for where in ("first", "middle", "file"):
+        for fname in files:
+            assert _model_lines(tmp_path / where, fname) == _model_lines(
+                tmp_path / "last", fname), (where, fname)
+
+    tm = TreatmentMatrix(np.array(t))
+    fm = mtsens.fit_ppca(tm, 3)
+    cc = mtsens.conditional_confounder(fm)
+    lin = mtsens.fit_linear(tm, y)
+    models = tmp_path / "last"
+    fm_file = mtsens.load_factor_model(models / "factor_model.json")
+    cc_file = load_confounder(models / "confounder.json")
+    lin_file = load_outcome(models / "outcome.json")
+    pairs = [(fm_file.b_hat, fm.b_hat), (fm_file.singular_values, fm.singular_values),
+             (fm_file.treatment_means, fm.treatment_means),
+             (cc_file.coef, cc.coef), (cc_file.sigma_u_given_t, cc.sigma_u_given_t),
+             (lin_file.tau_naive, lin.tau_naive)]
+    for got, expected in pairs:
+        assert got.tobytes() == expected.tobytes()
+    assert fm_file.sigma2_t_given_u == fm.sigma2_t_given_u
+    assert lin_file.intercept == lin.intercept
+    assert lin_file.sigma2_y_given_t == lin.sigma2_y_given_t
+
+
+@pytest.mark.parametrize("case, dependent", [("constant", ["t3"]), ("duplicate", ["t4"])])
+def test_fit_singular_design_exit_2_names_the_columns(tmp_path, capsys, case, dependent):
+    # a constant column centers to exact zeros, a duplicate to a singular
+    # Gram: both leave the certified fit for the pivoted QR on [1, T]
+    rng = np.random.default_rng(9)
+    t = rng.normal(size=(60, 4))
+    if case == "constant":
+        t[:, 2] = 1.0
+    else:
+        t[:, 3] = t[:, 1]
+    y = t @ np.array([1.0, -0.5, 0.2, 0.3]) + rng.normal(size=60)
+    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "y"], np.column_stack([t, y]))
+    rc, _, err = _run(["fit", "--treatments", str(tmp_path / "t.csv"), "--outcome", "y",
+                       "--m", "1", "--out-dir", str(tmp_path / "m")], capsys)
+    assert rc == 2
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "SingularFitError"
+    assert payload["message"].endswith(f"dependent columns: {dependent}")
+    with pytest.raises(mtsens.SingularFitError) as exc:
+        mtsens.fit_linear(TreatmentMatrix(t), y)
+    assert exc.value.columns == dependent
+
+
 def test_bounds_round_trip(linear_models, tmp_path, capsys):
     out = tmp_path / "bounds.json"
     rc, _, err = _run(

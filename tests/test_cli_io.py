@@ -249,6 +249,73 @@ def test_json_nan_past_the_walk_raises(tmp_path, monkeypatch):
         _write_json({"x": [float("nan")]}, tmp_path / "out.json")
 
 
+@st.composite
+def _float_arrays(draw):
+    """A 1-d or 2-d float array, empty ones included, drawing repeats from a
+    small pool of _FLOAT values (+-inf, NaN, -0.0, subnormals, 1e+-300);
+    2-d arrays are sometimes transposed views."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=2)))
+    pool = draw(st.lists(_FLOAT, min_size=1, max_size=4))
+    size = math.prod(shape)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    a = np.array([pool[i] for i in picks], dtype=float).reshape(shape)
+    return a.T if a.ndim == 2 and draw(st.booleans()) else a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, st.one_of(_float_arrays(), _FLOAT), min_size=1, max_size=4))
+def test_float_arrays_write_as_their_lists(tmp_path_factory, payload):
+    # model files pass their arrays as they are; the text must be that of
+    # the arrays' .tolist() through the walk
+    listed = {key: v.tolist() if isinstance(v, np.ndarray) else v
+              for key, v in payload.items()}
+    root = tmp_path_factory.mktemp("j")
+    prov = {"command": "mtsens test", "seed": None}
+    _write_json(payload, root / "arrays.json", prov)
+    _write_json(listed, root / "lists.json", prov)
+    assert (root / "arrays.json").read_bytes() == (root / "lists.json").read_bytes()
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def test_model_files_round_trip_arrays_bit_for_bit(tmp_path):
+    data = mtsens.gen_gwas(n=300, k=12, m=3, seed=4)
+    tm, y = data.treatments, data.y
+    fm = mtsens.fit_ppca(tm, 3)
+    # awkward means: -0.0, a subnormal and 1e+-300 must come back as they went
+    fm = mtsens.FactorModel(
+        b_hat=fm.b_hat, sigma2_t_given_u=fm.sigma2_t_given_u, m=3,
+        singular_values=fm.singular_values,
+        treatment_means=np.r_[-0.0, 5e-324, 1e300, -1e-300, fm.treatment_means[4:]],
+    )
+    mtsens.save_factor_model(fm, tmp_path / "fm.json")
+    back = mtsens.load_factor_model(tmp_path / "fm.json")
+    for name in ("b_hat", "singular_values", "treatment_means"):
+        assert _bits(getattr(back, name)) == _bits(getattr(fm, name)), name
+    assert back.sigma2_t_given_u == fm.sigma2_t_given_u
+
+    cc = mtsens.conditional_confounder(fm)
+    save_confounder(cc, tmp_path / "cc.json")
+    back = mtsens.load_confounder(tmp_path / "cc.json")
+    for name in ("coef", "sigma_u_given_t", "treatment_means"):
+        assert _bits(getattr(back, name)) == _bits(getattr(cc, name)), name
+
+    outcomes = {
+        "gaussian": (mtsens.fit_linear(tm, y), ("tau_naive",)),
+        "probit": (mtsens.fit_probit(tm, (y > np.median(y)).astype(float)), ("probit_coef",)),
+        "empirical": (mtsens.fit_empirical(tm, y, degree=2), ("residual_quantiles",)),
+    }
+    for kind, (model, arrays) in outcomes.items():
+        save_outcome(model, tmp_path / f"{kind}.json")
+        back = mtsens.load_outcome(tmp_path / f"{kind}.json")
+        for name in arrays:
+            assert _bits(getattr(back, name)) == _bits(getattr(model, name)), (kind, name)
+        if kind == "empirical":
+            assert _bits(back.mean_fn.coef) == _bits(model.mean_fn.coef)
+
+
 @pytest.fixture
 def recorded_writes(monkeypatch):
     """Every _write_json call of the CLI and the model savers, with the

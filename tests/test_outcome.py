@@ -11,6 +11,7 @@ from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 import mtsens._linalg
+import mtsens.factor
 import mtsens.outcome
 from mtsens import (
     BinaryOutcome,
@@ -34,7 +35,7 @@ from mtsens import (
     save_outcome,
     SimTruth,
 )
-from mtsens._linalg import certified_lstsq
+from mtsens._linalg import certified_gram, certified_lstsq
 from mtsens.outcome import _probit_mle
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
@@ -622,8 +623,18 @@ def _straddling_designs(draw):
     return t, t @ rng.normal(size=k) + rng.normal(size=n)
 
 
+def _small_columns_design(seed):
+    """Treatments 100 times smaller than the intercept column, one of them
+    1e-12 times smaller still: the pivoted QR of [1, T] names that one as
+    dependent, so the certificate must count the intercept column."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(50, 3)) * np.array([1e-2, 1e-2, 1e-14])
+    return t, t @ rng.normal(size=3) + rng.normal(size=50)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_straddling_designs())
+@example(_small_columns_design(1))
 def test_certified_qr_keeps_pivoted_verdict(design):
     t, y = design
     n = t.shape[0]
@@ -641,7 +652,13 @@ def test_certified_qr_keeps_pivoted_verdict(design):
     norms = np.linalg.norm(x, axis=0)
     xs = x / norms
     got = np.concatenate([[out.intercept], out.tau_naive]) * norms
-    ref = np.linalg.lstsq(xs, y, rcond=None)[0]
+    _assert_within_lstsq_bound(xs, y, got, np.linalg.lstsq(xs, y, rcond=None)[0])
+
+
+def _assert_within_lstsq_bound(xs, y, got, ref):
+    """got against the reference solution ref of y on the unit-norm columns
+    xs, and its normal-equations residual at rounding level."""
+    n = xs.shape[0]
     eps = np.finfo(float).eps
     kappa = np.linalg.cond(xs)
     resid = np.linalg.norm(y - xs @ ref)
@@ -689,23 +706,11 @@ def _check_gram_fit(x, y, fit):
     b, r = fit
     np.testing.assert_allclose(r.T @ r, x.T @ x, rtol=1e-12, atol=1e-12 * np.abs(x.T @ x).max())
     assert _rank_check_names(x, [str(j) for j in range(p)]) == []
-    # per unit-norm column, against an unpivoted QR solve, within the
-    # least-squares perturbation bound of test_certified_qr_keeps_pivoted_verdict
+    # per unit-norm column, against an unpivoted QR solve
     norms = np.linalg.norm(x, axis=0)
     xs = x / norms
-    got = b * norms
     q, rs = qr(xs, mode="economic")
-    ref = solve_triangular(rs, q.T @ y)
-    eps = np.finfo(float).eps
-    kappa = np.linalg.cond(xs)
-    resid = np.linalg.norm(y - xs @ ref)
-    bound = 2 * n * eps * kappa * (
-        2 + (kappa + 1) * resid / (np.linalg.norm(xs, 2) * np.linalg.norm(ref))
-    )
-    assert np.linalg.norm(got - ref) <= max(1e-10, bound) * np.linalg.norm(ref)
-    res = y - xs @ got
-    scale = np.linalg.norm(y) + np.linalg.norm(xs) * np.linalg.norm(got)
-    assert np.linalg.norm(xs.T @ res) <= 10 * n * eps * scale
+    _assert_within_lstsq_bound(xs, y, b * norms, solve_triangular(rs, q.T @ y))
 
 
 @settings(max_examples=300, deadline=None)
@@ -738,24 +743,17 @@ def _gwas_design(n, k):
 
 
 def _raw_unit_design(mean, sd):
-    """Continuous treatments in raw units: [1, T, T^2] has kappa(x'x) from
-    5e8 to 5e16 at the means and sds used, and below 1e6 once its columns
-    are scaled."""
+    """Continuous treatments in raw units, T ~ N(mean, sd), n = 1000, k = 3.
+    [1, T, T^2] has kappa(x'x) from 5e8 to 5e16 at the means and sds of
+    test_well_conditioned_designs_take_one_cholesky_and_no_qr, and below 1e6
+    once its columns are scaled."""
     rng = np.random.default_rng(5)
     t = rng.normal(mean, sd, size=(1000, 3))
     return TreatmentMatrix(t), (t - mean) @ np.array([1.0, -0.5, 0.2]) / sd + rng.normal(size=1000)
 
 
-# the four benchmark shapes, then raw-unit treatments; no silent fallback
-# to the pivoted QR or the SVD
-@pytest.mark.parametrize("make, args", [
-    (_gwas_design, (2500, 500)), (_gwas_design, (2000, 200)), (_gwas_design, (1000, 100)),
-    (_gwas_design, (500, 20)), (_raw_unit_design, (100.0, 30.0)),
-    (_raw_unit_design, (100.0, 10.0)), (_raw_unit_design, (10.0, 1.0)),
-    (_raw_unit_design, (1000.0, 100.0)),
-])
-def test_well_conditioned_designs_take_one_cholesky_and_no_qr(monkeypatch, make, args):
-    tm, y = make(*args)
+def _count_solver_calls(monkeypatch) -> dict:
+    """Counts of the Cholesky, QR and SVD least-squares calls from now on."""
     calls = {"dpotrf": 0, "qr_multiply": 0, "lstsq": 0}
 
     def counted(module, name):
@@ -770,10 +768,58 @@ def test_well_conditioned_designs_take_one_cholesky_and_no_qr(monkeypatch, make,
     counted(mtsens._linalg.lapack, "dpotrf")
     counted(mtsens._linalg, "qr_multiply")
     counted(np.linalg, "lstsq")
+    return calls
+
+
+# the four benchmark shapes, then raw-unit treatments; no silent fallback
+# to the pivoted QR or the SVD
+@pytest.mark.parametrize("make, args", [
+    (_gwas_design, (2500, 500)), (_gwas_design, (2000, 200)), (_gwas_design, (1000, 100)),
+    (_gwas_design, (500, 20)), (_raw_unit_design, (100.0, 30.0)),
+    (_raw_unit_design, (100.0, 10.0)), (_raw_unit_design, (10.0, 1.0)),
+    (_raw_unit_design, (1000.0, 100.0)),
+])
+def test_well_conditioned_designs_take_one_cholesky_and_no_qr(monkeypatch, make, args):
+    tm, y = make(*args)
+    calls = _count_solver_calls(monkeypatch)
     fit_linear(tm, y)
     assert calls == {"dpotrf": 1, "qr_multiply": 0, "lstsq": 0}
     fit_empirical(tm, y, degree=2)
     assert calls == {"dpotrf": 2, "qr_multiply": 0, "lstsq": 0}
+
+
+# Treatments whose mean is 1e4 to 1e8 times their sd: [1, T] with unit-norm
+# columns has kappa 4e4 to 4e8, past the certificate of its own Gram, but
+# the centered Gram fit_linear solves has equilibrated rcond 0.8. At
+# (1e8, 1) the pivoted QR of the unscaled [1, T] also names the intercept
+# as dependent, and the centered fit certifies the design.
+@pytest.mark.parametrize("mean, sd", [(1000.0, 0.1), (100.0, 0.01), (1e8, 1.0)])
+def test_raw_unit_treatments_take_the_centered_cholesky(monkeypatch, mean, sd):
+    tm, y = _raw_unit_design(mean, sd)
+    calls = _count_solver_calls(monkeypatch)
+    out = fit_linear(tm, y)
+    assert calls == {"dpotrf": 1, "qr_multiply": 0, "lstsq": 0}
+    # per unit-norm column, against a pivoted QR solve
+    x = np.column_stack([np.ones(tm.n), tm.data])
+    norms = np.linalg.norm(x, axis=0)
+    xs = x / norms
+    q, r, piv = qr(xs, mode="economic", pivoting=True)
+    ref = np.zeros(x.shape[1])
+    ref[piv] = solve_triangular(r, q.T @ y)
+    got = np.concatenate([[out.intercept], out.tau_naive]) * norms
+    _assert_within_lstsq_bound(xs, y, got, ref)
+
+
+def test_certified_gram_refuses_a_zero_column_before_factoring(monkeypatch):
+    # a constant column whose mean is exact centers to zeros: the
+    # equilibration would divide by zero, so no factorization is tried
+    t = np.random.default_rng(3).normal(size=(40, 3))
+    t[:, 1] = 1.0
+    means, cov = mtsens.factor._moments(TreatmentMatrix(t))
+    assert cov[1, 1] == 0.0
+    calls = _count_solver_calls(monkeypatch)
+    assert certified_gram(cov, 40, intercept=True) is None
+    assert calls["dpotrf"] == 0
 
 
 @pytest.mark.parametrize("seed", range(4))
