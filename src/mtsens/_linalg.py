@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, qr_multiply, solve_triangular
 
 from .errors import DimensionError, InputFormatError, SingularFitError
 
@@ -150,6 +149,8 @@ def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray
     matrix a = X'WX formed from n rows, by a Cholesky factorization that a
     dpocon estimate certifies as full rank under the rule of _full_rank;
     None when dpotrf fails or the certificate does."""
+    from scipy.linalg import lapack  # imported on use: a slow import
+
     c, info = lapack.dpotrf(a)
     if info != 0:
         return None
@@ -186,6 +187,8 @@ def certified_gram(g: np.ndarray, n: int, intercept: bool = False) -> np.ndarray
     x_c, and the design is [1, x_c]: its Gram over n, blockdiag(1, g),
     equilibrates to blockdiag(1, G_s), whose rcond is that of G_s, and the
     verdict counts the intercept column, with d = 1."""
+    from scipy.linalg import lapack  # imported on use: a slow import
+
     d = np.sqrt(np.diag(g))
     if not d.all():
         return None
@@ -207,6 +210,8 @@ def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     certificate (n < p included). b solves G b = x'y by dpotrs and takes
     one refinement step, b += G^-1 x'(y - x b), two O(np) products
     (Bjorck 1996, sec. 2.9)."""
+    from scipy.linalg import lapack  # imported on use: a slow import
+
     n, p = x.shape
     if n < p:
         return None
@@ -226,6 +231,8 @@ def centered_lstsq(t: np.ndarray, y: np.ndarray, means: np.ndarray,
     b solves cov b = t_c'(y - mean(y)) / n and takes one refinement step,
     as in certified_lstsq, and a = mean(y) - means'b. The products t_c'v
     are formed as t'v - means sum(v), so t_c is never stored."""
+    from scipy.linalg import lapack  # imported on use: a slow import
+
     n = t.shape[0]
     c = certified_gram(cov, n, intercept=True)
     if c is None:
@@ -242,6 +249,8 @@ def basic_lstsq(x: np.ndarray, y: np.ndarray) -> LstsqFit:
     """The least-squares fit of y on the columns of x at any rank: the
     certified_lstsq fit, else a pivoted QR, x[:, piv] = QR, with rank the
     number of |R_ii| > max|R_ii| max(n, p) eps."""
+    from scipy.linalg import qr_multiply, solve_triangular  # imported on use: a slow import
+
     n, p = x.shape
     fit = certified_lstsq(x, y)
     if fit is not None:

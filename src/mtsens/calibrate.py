@@ -6,7 +6,6 @@ import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._linalg import as_vector, basic_lstsq
 from .copula import SensitivitySpec
@@ -148,6 +147,8 @@ def benchmark_table(
     with W = R11^{-1} R12 and kappa the condition number of the basis at
     unit column norms: dropping either leaves the span of X unchanged.
     Feeds the calibrate CLI's TSV output."""
+    from scipy.linalg import solve_triangular  # imported on use: a slow import
+
     names = list(names) if names is not None else treatments.names()
     if len(names) != treatments.k:
         raise DimensionError("names length must match the number of columns")

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -71,15 +72,23 @@ def _table_rows(path, limit: int | None = None) -> list[str]:
     """The first limit rows (all by default) of a table that are neither
     blank nor '#' provenance."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet programs write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = (ln for ln in fh if ln.rstrip("\r\n") and not ln.startswith("#"))
             return list(itertools.islice(rows, limit))
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_header(line: str) -> list[str]:
-    return [c.strip() for c in next(csv.reader([line]))]
+def _parse_header(line: str, path) -> list[str]:
+    """Column names of a header row, each nonempty and unique."""
+    names = [c.strip() for c in next(csv.reader([line]))]
+    if "" in names:
+        raise InputFormatError(f"empty column name in the header row of {path}")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise InputFormatError(f"repeated column names in {path}: {repeated}")
+    return names
 
 
 def _read_header(path) -> list[str]:
@@ -87,17 +96,18 @@ def _read_header(path) -> list[str]:
     lines = _table_rows(path, 1)
     if not lines:
         raise InputFormatError(f"{path} needs a header row")
-    return _parse_header(lines[0])
+    return _parse_header(lines[0], path)
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
-    """Comma-separated, UTF-8, header row required, '.' decimal, finite
-    numbers only; rows starting with '#' (provenance) and blank rows are
-    skipped. A '#' anywhere else is an error, never the start of a comment."""
+    """Comma-separated, UTF-8 with or without a byte-order mark, a header
+    row of unique nonempty names required, '.' decimal, finite numbers only;
+    rows starting with '#' (provenance) and blank rows are skipped. A '#'
+    anywhere else is an error, never the start of a comment."""
     lines = _table_rows(path)
     if len(lines) < 2:
         raise InputFormatError(f"{path} needs a header row and at least one data row")
-    names = _parse_header(lines[0])
+    names = _parse_header(lines[0], path)
     try:
         data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
@@ -243,8 +253,8 @@ def _naive_contrast(outcome, c: Contrast) -> float:
 
 def cmd_fit(args, prov: dict) -> int:
     names, data = _read_table(args.treatments)
-    y, t_data, _ = _split_outcome(names, data, args.outcome)
-    tm = TreatmentMatrix(t_data)
+    y, t_data, t_names = _split_outcome(names, data, args.outcome)
+    tm = TreatmentMatrix(t_data, column_names=t_names)
     # one centered Gram for the dimension choice, the factor model and the
     # linear fit
     moments = _moments(tm)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._linalg import as_vector, psd_roots
 from .errors import (
@@ -184,6 +183,8 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     the U block alone. It is identically 1 when gamma = 0, even when the U
     coordinates are mutually correlated. Vectorized over leading axes of p, q.
     """
+    from scipy.special import ndtri  # imported on use: a slow import
+
     gamma = as_vector(gamma, "gamma")
     sigma = np.asarray(sigma_u_given_t, dtype=float)
     _copula_correlation(gamma, sigma)
@@ -230,6 +231,8 @@ def _from_gaussian(outcome, t):
     """Map standardized Gaussian values to Y | T=t and count the clamped CDF
     values: mu_t + sigma ytilde exactly for a Gaussian outcome, else the
     quantile at the clamped Phi(ytilde)."""
+    from scipy.special import ndtr  # imported on use: a slow import
+
     if isinstance(outcome, GaussianOutcome):
         mu, sd = float(outcome.mean(t)), outcome.sigma()
         return lambda ytilde: (mu + sd * ytilde, 0)
@@ -384,6 +387,8 @@ def intervention_mean_general(
     through Phi, is clipped to [CDF_CLAMP, 1 - CDF_CLAMP], and a warning
     counts the clipped values.
     """
+    from scipy.special import ndtr, ndtri  # imported on use: a slow import
+
     if m_draws < 1 or n_draws < 1:
         raise InputFormatError("m_draws and n_draws must be at least 1")
     t = as_vector(t, "t")
@@ -447,6 +452,8 @@ def intervention_mean_general(
 
 def gaussianize(outcome, t, y):
     """Map outcome values to the standardized Gaussian scale at t."""
+    from scipy.special import ndtri  # imported on use: a slow import
+
     cdf, _ = conditional_cdf_quantile(outcome, t)
     u = np.asarray(cdf(y), dtype=float)
     clamped = _clamp_count(u)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from ._linalg import PsdRoots, as_vector, eigh_desc, fix_column_signs, psd_roots, symmetrize
 from .errors import DegenerateModelError, DimensionError, InputFormatError
@@ -219,6 +218,8 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
     """Fit the factor model from a treatment covariance matrix: Tipping-Bishop
     loadings from its m leading eigenpairs, and the mean of the trailing
     eigenvalues, (tr cov - their sum) / (k - m), as the noise variance."""
+    from scipy.linalg import eigh  # imported on use: a slow import
+
     cov = symmetrize(np.asarray(cov, dtype=float))
     k = cov.shape[0]
     if not (1 <= m < k):

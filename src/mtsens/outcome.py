@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._linalg import centered_lstsq, certified_cholesky_solve, certified_lstsq, full_rank_lstsq
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
@@ -64,6 +63,8 @@ class BinaryOutcome:
 
     def mu_y(self, t) -> np.ndarray | float:
         """P(Y=1 | T=t) under the probit fit."""
+        from scipy.special import ndtr  # imported on use: a slow import
+
         t = np.asarray(t, dtype=float)
         return ndtr(self.probit_intercept + t @ self.probit_coef)
 
@@ -187,6 +188,8 @@ def _probit_mle(treatments: TreatmentMatrix, y, beta, max_iter: int = 100,
                 tol: float = 1e-8) -> BinaryOutcome:
     """fit_probit from the start [intercept, coef...] = beta. Warnings name
     the caller of the public function that called this one."""
+    from scipy.special import log_ndtr  # imported on use: a slow import
+
     y = np.asarray(y, dtype=float).reshape(-1)
     n = treatments.n
     if y.shape[0] != n:
@@ -321,6 +324,8 @@ def conditional_cdf_quantile(model, t):
     Both functions are vectorized; the quantile raises on arguments outside
     (0,1). For binary models the CDF is the two-point law at {0,1}.
     """
+    from scipy.special import ndtr, ndtri  # imported on use: a slow import
+
     if isinstance(model, GaussianOutcome):
         mu = float(model.mean(t))
         sd = model.sigma()

@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._linalg import as_vector
 from .bounds import IgnoranceRegion, RobustnessValue
@@ -34,6 +33,8 @@ _BLOCK = 1 << 20
 
 
 def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray, stacklevel: int) -> float:
+    from scipy.special import ndtr, ndtri  # imported on use: a slow import
+
     eta = float(bin_out.probit_intercept + t @ bin_out.probit_coef)
     mu = ndtr(eta)
     if not (CDF_CLAMP < mu < 1 - CDF_CLAMP):
@@ -74,6 +75,8 @@ def rr_single(
     observed: TreatmentMatrix,
 ) -> float:
     """P(Y=1 | do(T=t)) / P(Y=1) under the Gaussian-copula model."""
+    from scipy.special import ndtr  # imported on use: a slow import
+
     gamma = _confounder_vector(spec.gamma, "gamma", cc)
     eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m), 1)
     return float(np.mean(ndtr(eta + shift @ gamma))) / bin_out.p_y1
@@ -108,6 +111,8 @@ class _RrEvaluator:
     def rr(self, x) -> np.ndarray:
         """Risk ratio at each row of x (one point may be a vector); inf where
         the denominator probability vanishes."""
+        from scipy.special import ndtr  # imported on use: a slow import
+
         x = np.atleast_2d(x)
         out = np.empty(x.shape[0])
         step = max(1, _BLOCK // self.s1.shape[0])
@@ -122,6 +127,8 @@ class _RrEvaluator:
     def rr_and_grad(self, x: np.ndarray):
         """rr at one point and its gradient
         (S1' phi(a1) N2 - N1 S2' phi(a2)) / (n N2^2), a_i = eta_i + S_i x."""
+        from scipy.special import ndtr  # imported on use: a slow import
+
         a1 = self.eta1 + self.s1 @ x
         a2 = self.eta2 + self.s2 @ x
         n1, n2 = ndtr(a1).mean(), ndtr(a2).mean()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._linalg import as_vector, orthonormal_null_basis
 from .bounds import worst_case_bias
@@ -98,6 +97,8 @@ class SimTruth:
     def intervention_mean(self, t) -> float:
         """Closed-form E[Y | do(T=t)] (or P(Y=1 | do(t)) for binary): under
         do(t) the confounder keeps its marginal N(0, I) law."""
+        from scipy.special import ndtr  # imported on use: a slow import
+
         g = float(self.response(np.atleast_2d(as_vector(t, "t")))[0])
         if not self.binary_y:
             return g

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process through
 main() so exit codes and stdout/stderr are observable without subprocesses.
-One subprocess test confirms the installed console script."""
+Fresh-interpreter tests confirm the console script and which scipy modules
+an import or a command loads."""
 import json
 import math
 import os
@@ -244,16 +245,43 @@ def test_fit_singular_design_exit_2_names_the_columns(tmp_path, capsys, case, de
     else:
         t[:, 3] = t[:, 1]
     y = t @ np.array([1.0, -0.5, 0.2, 0.3]) + rng.normal(size=60)
-    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "y"], np.column_stack([t, y]))
+    names = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "t.csv", names + ["y"], np.column_stack([t, y]))
     rc, _, err = _run(["fit", "--treatments", str(tmp_path / "t.csv"), "--outcome", "y",
                        "--m", "1", "--out-dir", str(tmp_path / "m")], capsys)
     assert rc == 2
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "SingularFitError"
-    assert payload["message"].endswith(f"dependent columns: {dependent}")
+    # the CLI names the CSV header's columns, the API t1..tk by position
+    header = [names[int(label[1:]) - 1] for label in dependent]
+    assert payload["message"].endswith(f"dependent columns: {header}")
     with pytest.raises(mtsens.SingularFitError) as exc:
         mtsens.fit_linear(TreatmentMatrix(t), y)
     assert exc.value.columns == dependent
+
+
+@pytest.mark.parametrize("command", ["fit", "calibrate"])
+@pytest.mark.parametrize(
+    "header, rc", [("a,a,y", 2), ("a,,y", 2), ("\ufeffy,a,b", 0)],
+    ids=["repeated", "empty", "byte-order-mark"],
+)
+def test_header_names_unique_nonempty_and_without_bom(tmp_path, capsys, command, header, rc):
+    # a spreadsheet's byte-order mark is not part of the first name "y"
+    rng = np.random.default_rng(4)
+    rows = "\n".join(",".join(map(repr, row)) for row in rng.normal(size=(30, 3)).tolist())
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n" + rows + "\n", encoding="utf-8")
+    extra = {"fit": ["--m", "1", "--out-dir", str(tmp_path / "m")],
+             "calibrate": ["--out", str(tmp_path / "c.tsv")]}[command]
+    got, _, err = _run([command, "--treatments", str(path), "--outcome", "y", *extra], capsys)
+    assert got == rc, err
+    if rc:
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "InputFormatError"
+    elif command == "calibrate":
+        table = (tmp_path / "c.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in table if not line.startswith("#")] == [
+            "column", "a", "b"
+        ]
 
 
 def test_bounds_round_trip(linear_models, tmp_path, capsys):
@@ -821,40 +849,68 @@ def test_unknown_preset_argparse_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_console_script_version():
-    # the child imports the same mtsens as this process, installed or not
+def _child(args):
+    """A fresh interpreter that imports the same mtsens as this process,
+    installed or not, run to completion."""
     package_root = str(Path(mtsens.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mtsens.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_version():
+    proc = _child(["-m", "mtsens.cli", "--version"])
     assert proc.returncode == 0
     assert "mtsens" in proc.stdout
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize(
+    "module", ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special"]
+)
 def test_import_leaves_slow_scipy_module_unloaded(module):
-    # a fresh interpreter, because this one has long loaded both modules
-    package_root = str(Path(mtsens.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "import numpy, scipy.linalg, scipy.special\n"
-        f"if {module!r} in sys.modules:\n"
-        "    sys.exit('preloaded')\n"
-        "import mtsens, mtsens.cli\n"
-        f"print({module!r} in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    if proc.stderr.strip() == "preloaded":
-        pytest.skip(f"this scipy loads {module} from scipy.linalg or scipy.special")
+    # a fresh interpreter, because this one has long loaded all four
+    proc = _child(["-c", f"import sys, mtsens, mtsens.cli; print({module!r} in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_commands_without_scipy_calls_load_no_scipy(linear_models, tmp_path):
+    # one fresh interpreter runs the commands that call no scipy function,
+    # then fit, which must load scipy.linalg: the check sees a load
+    models, csv_path = str(linear_models["models"]), str(linear_models["csv"])
+    free = [
+        ["--version"],
+        ["simulate", "--preset", "gwas", "--n", "200", "--k", "20", "--seed", "1",
+         "--out-dir", str(tmp_path / "data")],
+        ["bounds", "--models", models, "--all-unitwise", "--out", str(tmp_path / "b.json")],
+        ["rv", "--models", models, "--all-unitwise", "--out", str(tmp_path / "rv.json")],
+        ["mcc", "--models", models, "--treatments", csv_path, "--outcome", "y",
+         "--norm", "l2", "--out-dir", str(tmp_path / "mcc")],
+    ]
+    fit = ["fit", "--treatments", csv_path, "--outcome", "y", "--m", "1",
+           "--out-dir", str(tmp_path / "models")]
+    code = (
+        "import json, sys\n"
+        "from mtsens.cli import main\n"
+        "def run(argv):\n"
+        "    try:\n"
+        "        return main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "slow = ['scipy.linalg', 'scipy.special', 'scipy.optimize']\n"
+        "free, fit = json.loads(sys.argv[1])\n"
+        "codes = [run(argv) for argv in free]\n"
+        "loaded = [m for m in slow if m in sys.modules]\n"
+        "codes.append(run(fit))\n"
+        "print(json.dumps([codes, loaded, 'scipy.linalg' in sys.modules]))\n"
+    )
+    proc = _child(["-c", code, json.dumps([free, fit])])
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, fit_loaded_linalg = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * (len(free) + 1), proc.stderr
+    assert loaded == []
+    assert fit_loaded_linalg

@@ -73,7 +73,8 @@ def _tables(draw):
             max_size=n,
         )
     )
-    names = draw(st.lists(_NAME, min_size=k, max_size=k))
+    # the reader rejects a repeated name, as the header check below tests
+    names = draw(st.lists(_NAME, min_size=k, max_size=k, unique_by=str.strip))
     header = ",".join(
         f'"{nm}"' if "," in nm or draw(st.booleans()) else nm for nm in names
     )
