@@ -29,8 +29,10 @@ from .outcome import EmpiricalOutcome, GaussianOutcome, _quantile_type7, conditi
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
-# (row, draw) pairs per block of the Monte Carlo estimators
-_BLOCK_PAIRS = 4096
+# entries of the largest per-block array of the Monte Carlo estimators:
+# n_sim per row on the Gaussian path, n_draws x m_draws per row in the
+# importance sampler; a block holds at least one row
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,8 @@ class CopulaSpec:
     """Copula choice for the general estimator: the model's Gaussian copula
     (parameterized by gamma) or a custom density callback on (0,1)^{1+m}.
 
-    A custom density must be vectorized: density(p, q) with p shaped (...,)
-    and q shaped (..., m) returns densities shaped (...,).
+    A custom density must be vectorized: density(p, q) with a flat p shaped
+    (N,) and q shaped (N, m) returns N densities, one per (p, q) pair.
     """
 
     kind: str
@@ -191,19 +193,35 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != sigma.shape[0]:
         raise DimensionError("q must have m entries in its last axis")
-    return _gaussian_density(gamma, sigma, ndtri(np.asarray(p, dtype=float)), ndtri(q))
+    return np.exp(_gaussian_log_density(
+        gamma, sigma, ndtri(np.asarray(p, dtype=float)), ndtri(q)))
 
 
-def _gaussian_density(gamma, sigma, z_y, z_u):
-    """gaussian_copula_density at z_y = Phi^{-1}(p) and the standardized
-    confounder z_u = Phi^{-1}(q), without the checks."""
-    # ytilde | u is Gaussian with mean gamma'(u - mu_{u|t}) and variance
-    # 1 - gamma' Sigma gamma; u - mu recovered from z_u through the U margins
-    sd_u = np.sqrt(np.diag(sigma))
-    cond_mean = (z_u * sd_u) @ gamma
-    resid_sd = math.sqrt(1.0 - float(gamma @ sigma @ gamma))
-    log_c = 0.5 * z_y**2 - 0.5 * ((z_y - cond_mean) / resid_sd) ** 2
-    return np.exp(log_c) / resid_sd
+def _gaussian_log_density(gamma, sigma, z_y, z_u, table=False):
+    """log of gaussian_copula_density at z_y = Phi^{-1}(p) and the
+    standardized confounder z_u = Phi^{-1}(q), without the checks.
+
+    ytilde | u is Gaussian with mean c_u = gamma'(u - mu_{u|t}) (u - mu
+    recovered from z_u through the U margins) and variance
+    s^2 = 1 - gamma' Sigma gamma, so the log density is
+    a(z_y) + c_u (b(z_y) - c_u / (2 s^2)) with
+    a = z_y^2 (1 - 1/s^2) / 2 - log s and b = z_y / s^2. It is at most
+    z_y^2 / 2 - log s, so its one exponent cannot overflow, where
+    exp(b c_u) exp(-c_u^2 / 2 s^2) does for draws far from mu_{u|t}; at
+    q = 0 or 1 it is -inf. z_y broadcasts against the leading axes of z_u;
+    with table, a flat z_y (D,) and z_u (P, m) give the (D, P) table of
+    every pair, written once as the product of the (D, 3) and (3, P)
+    coefficient matrices.
+    """
+    cond_mean = (z_u * np.sqrt(np.diag(sigma))) @ gamma
+    s2 = 1.0 - float(gamma @ sigma @ gamma)
+    a = z_y**2 * (0.5 - 0.5 / s2) - 0.5 * math.log(s2)
+    b = z_y / s2
+    half = cond_mean / (2.0 * s2)
+    if table:
+        return np.stack([a, b, np.ones_like(a)], axis=1) @ np.stack(
+            [np.ones_like(half), cond_mean, -cond_mean * half])
+    return a + cond_mean * (b - half)
 
 
 class MonteCarloMean(NamedTuple):
@@ -212,8 +230,13 @@ class MonteCarloMean(NamedTuple):
     n_rows: int
 
 
-def _clamp_count(u: np.ndarray) -> int:
-    return int(np.count_nonzero((u < CDF_CLAMP) | (u > 1 - CDF_CLAMP)))
+def _clamped(u):
+    """u clipped to [CDF_CLAMP, 1 - CDF_CLAMP] and the number of clipped
+    values; an array with nothing to clip comes back as it is."""
+    if u.size == 0 or (CDF_CLAMP <= u.min() and u.max() <= 1 - CDF_CLAMP):
+        return u, 0
+    count = int(np.count_nonzero((u < CDF_CLAMP) | (u > 1 - CDF_CLAMP)))
+    return np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP), count
 
 
 def _warn_clamped(clamped: int, size: int, stacklevel: int) -> None:
@@ -242,18 +265,24 @@ def _from_gaussian(outcome, t):
         diff = np.diff(resid, append=resid[-1])
 
         def quantile(u):
-            return mu + _quantile_type7(resid, diff, u)
+            # u is a fresh array from ndtr or clip, so it can hold y;
+            # a scalar u gives a scalar y
+            y = _quantile_type7(resid, diff, u, out=u if u.ndim else None)
+            y += mu
+            return y
     else:
         _, quantile = conditional_cdf_quantile(outcome, t)
 
     def to_y(ytilde):
-        u = ndtr(ytilde)
-        return quantile(np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP)), _clamp_count(u)
+        u, clamped = _clamped(ndtr(ytilde))
+        return quantile(u), clamped
 
     return to_y
 
 
 def _select_rows(observed: TreatmentMatrix, max_rows, rng) -> np.ndarray:
+    if max_rows is not None and max_rows < 1:
+        raise InputFormatError("max_rows must be at least 1")
     data = observed.data
     if max_rows is not None and observed.n > max_rows:
         idx = rng.choice(observed.n, size=max_rows, replace=False)
@@ -264,7 +293,8 @@ def _select_rows(observed: TreatmentMatrix, max_rows, rng) -> np.ndarray:
 def _gaussian_means(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
     """One MonteCarloMean of E[v(Y) | do(T=t)] per point t of ts, all from the
     same draws. Blocks of whole rows draw z in row order, the same stream as
-    one (row, draw) array, so scratch memory is n_sim x block for any n."""
+    one (row, draw) array, so scratch memory is about _BLOCK_ENTRIES for
+    any n."""
     if n_sim < 1:
         raise InputFormatError("n_sim must be at least 1")
     ts = [as_vector(t, "t") for t in ts]
@@ -277,25 +307,43 @@ def _gaussian_means(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
     # the row mean shift is base_i - gamma' coef t; the centering means cancel
     g = cc.coef.T @ spec.gamma
     base = rows @ g
-    points = [(float(t @ g), _from_gaussian(outcome, t)) for t in ts]
-    # per point: sum of v(y) and sum of the per-row variances
-    sums = np.zeros((len(ts), 2))
+    offsets = [float(t @ g) for t in ts]
+    step = max(1, _BLOCK_ENTRIES // n_sim)
     clamped = 0
-    step = max(1, _BLOCK_PAIRS // n_sim)
-    for start in range(0, n, step):
-        shift = base[start:start + step, None]
-        z = rng.standard_normal(size=(shift.shape[0], n_sim))
-        for acc, (offset, to_y) in zip(sums, points):
-            y, c = to_y(shift - offset + z)
-            clamped += c
-            vals = y if v is None else np.asarray(v(y), dtype=float)
-            acc[0] += vals.sum()
+    if v is None and isinstance(outcome, GaussianOutcome):
+        # y = mu_t + sigma (base_i - offset + z) is affine in the shared z, so
+        # the sum of z and the sum of its row variances serve every point
+        z_sum = z_var = 0.0
+        for start in range(0, n, step):
+            z = rng.standard_normal(size=(min(step, n - start), n_sim))
+            z_sum += z.sum()
             if n_sim > 1:
-                acc[1] += np.var(vals, axis=1, ddof=1).sum()
+                z_var += np.var(z, axis=1, ddof=1).sum()
+        sd = outcome.sigma()
+        mean_shift = float(base.mean()) + z_sum / (n * n_sim)
+        means = [float(outcome.mean(t)) + sd * (mean_shift - offset)
+                 for t, offset in zip(ts, offsets)]
+        var_sums = np.full(len(ts), sd**2 * z_var)
+    else:
+        to_ys = [_from_gaussian(outcome, t) for t in ts]
+        # per point: sum of v(y) and sum of the per-row variances
+        sums = np.zeros((len(ts), 2))
+        for start in range(0, n, step):
+            shift = base[start:start + step, None]
+            z = rng.standard_normal(size=(shift.shape[0], n_sim))
+            for acc, offset, to_y in zip(sums, offsets, to_ys):
+                y, c = to_y(shift - offset + z)
+                clamped += c
+                vals = y if v is None else np.asarray(v(y), dtype=float)
+                acc[0] += vals.sum()
+                if n_sim > 1:
+                    acc[1] += np.var(vals, axis=1, ddof=1).sum()
+        means = sums[:, 0] / (n * n_sim)
+        var_sums = sums[:, 1]
     _warn_clamped(clamped, len(ts) * n * n_sim, stacklevel=3)
-    se = np.sqrt(sums[:, 1] / n_sim) / n if n_sim > 1 else np.full(len(ts), np.nan)
-    return [MonteCarloMean(value=float(s / (n * n_sim)), se=float(e), n_rows=n)
-            for s, e in zip(sums[:, 0], se)]
+    se = np.sqrt(var_sums / n_sim) / n if n_sim > 1 else np.full(len(ts), np.nan)
+    return [MonteCarloMean(value=float(mean), se=float(e), n_rows=n)
+            for mean, e in zip(means, se)]
 
 
 def intervention_mean_gaussian(
@@ -377,9 +425,11 @@ def intervention_mean_general(
     Draws y from f(y|t) by inverse-CDF sampling (so F(y) is the uniform
     driving it), draws confounders from each observed row's conditional law,
     and weights by the copula density averaged over those draws. The
-    weights accumulate over blocks of whole rows, a few thousand (row, draw)
-    pairs each, so scratch memory is m_draws x block, independent of the
-    number of rows. A custom density is called once per block.
+    weights accumulate over blocks of whole rows, each holding about
+    _BLOCK_ENTRIES (draw, row, confounder draw) triples, so scratch memory
+    is independent of the number of rows. A custom density is called once
+    per block, on every pair of the m_draws outcome uniforms with the
+    block's confounder uniforms.
 
     The Gaussian copula takes the standardized confounder draws
     (u - mu_{u|t}) / sd_t as they are, so rows far from mu_{u|t} keep their
@@ -415,10 +465,10 @@ def intervention_mean_general(
     sd_t = np.sqrt(np.diag(sigma))
     if copula.kind == "gaussian":
         _copula_correlation(copula.gamma, sigma)
-        z_p = ndtri(p)[:, None]
+        z_p = ndtri(p)
 
     # blocks of whole rows draw zu in row order: the same stream as one draw
-    step = max(1, _BLOCK_PAIRS // n_draws)
+    step = max(1, _BLOCK_ENTRIES // (n_draws * m_draws))
     w_sum = np.zeros(m_draws)
     clamped = 0
     for start in range(0, n, step):
@@ -427,11 +477,12 @@ def intervention_mean_general(
         u = cc.mu_u_given_t(block)[:, None, :] + zu @ root.T
         z_u = (u.reshape(-1, m) - mu_t) / sd_t
         if copula.kind == "gaussian":
-            cvals = _gaussian_density(copula.gamma, sigma, z_p, z_u[None])
+            # one exponent of the whole (draw, pair) table, in place
+            cvals = _gaussian_log_density(copula.gamma, sigma, z_p, z_u, table=True)
+            np.exp(cvals, out=cvals)
         else:
-            q = ndtr(z_u)
-            clamped += _clamp_count(q)
-            q = np.clip(q, CDF_CLAMP, 1 - CDF_CLAMP)
+            q, c = _clamped(ndtr(z_u))
+            clamped += c
             cvals = np.asarray(
                 copula.density(np.repeat(p, q.shape[0]), np.tile(q, (m_draws, 1))),
                 dtype=float,
@@ -455,15 +506,14 @@ def gaussianize(outcome, t, y):
     from scipy.special import ndtri  # imported on use: a slow import
 
     cdf, _ = conditional_cdf_quantile(outcome, t)
-    u = np.asarray(cdf(y), dtype=float)
-    clamped = _clamp_count(u)
+    u, clamped = _clamped(np.asarray(cdf(y), dtype=float))
     if clamped:
         warnings.warn(
             f"{clamped} outcome values hit the CDF clamping bounds during "
             "gaussianization",
             stacklevel=2,
         )
-    return ndtri(np.clip(u, CDF_CLAMP, 1 - CDF_CLAMP))
+    return ndtri(u)
 
 
 def degaussianize(outcome, t, ytilde):

@@ -301,14 +301,19 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     return EmpiricalOutcome(mean_fn=mean_fn, residual_quantiles=resid, sigma2_y_given_t=sigma2)
 
 
-def _quantile_type7(sorted_resid: np.ndarray, diff: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _quantile_type7(sorted_resid: np.ndarray, diff: np.ndarray, p: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Linear interpolation between order statistics, type-7 convention,
     with diff = np.diff(sorted_resid, append=sorted_resid[-1]): the last gap
     is zero, so one residual needs no branch. p lies strictly inside (0, 1),
-    so h = p (n - 1) < n - 1 and lo = floor(h) <= max(n - 2, 0)."""
-    h = p * (sorted_resid.shape[0] - 1)
+    so h = p (n - 1) < n - 1 and lo = floor(h) <= max(n - 2, 0). The result
+    is built in one array, out (which may be p itself) when given."""
+    h = np.multiply(p, sorted_resid.shape[0] - 1, out=out)
     lo = h.astype(np.intp)
-    return sorted_resid[lo] + (h - lo) * diff[lo]
+    h -= lo
+    h *= diff[lo]
+    h += sorted_resid[lo]
+    return h
 
 
 def _unit_interval(p) -> np.ndarray:

@@ -78,6 +78,14 @@ def test_density_origin_value():
     assert val == pytest.approx(1.25, abs=1e-12)
 
 
+def test_density_vanishes_at_the_confounder_bounds():
+    # q = 0 or 1 puts the confounder at infinity, where the density is 0
+    p = np.array([0.1, 0.9, 0.1, 0.9])
+    q = np.array([[1.0], [1.0], [0.0], [0.0]])
+    val = gaussian_copula_density(np.array([0.6]), np.array([[1.0]]), p, q)
+    assert val.tolist() == [0.0] * 4
+
+
 def test_density_elliptical_symmetry():
     gamma = np.array([0.4])
     sigma = np.array([[0.7]])
@@ -293,8 +301,9 @@ def test_marginal_contrast_warns_once_on_clamped_draws(monkeypatch):
         sigma2_y_given_t=1.0,
     )
     spec = SensitivitySpec.from_r2_direction(0.5, np.array([1.0]), cc.sigma_u_given_t)
-    # several blocks and two endpoints, so the count must add up over all
-    monkeypatch.setattr(copula_module, "_BLOCK_PAIRS", 8)
+    # 3 rows of 4 draws per block, a partial last block and two endpoints,
+    # so the count must add up over all
+    monkeypatch.setattr(copula_module, "_BLOCK_ENTRIES", 12)
     # every draw at t1 lies about 24 standard deviations below 0; none at t2
     c = Contrast(np.array([40.0, 0.0, 0.0, 0.0]), np.zeros(4))
     with warnings.catch_warnings(record=True) as caught:
@@ -336,6 +345,8 @@ def test_mc_sizes_and_tau_fn_are_typed_errors():
         marginal_contrast(c, spec, cc, outcome, data.treatments, n_sim=0)
     with pytest.raises(InputFormatError, match="tau_fn"):
         marginal_contrast(c, spec, cc, outcome, data.treatments, tau_fn="odds")
+    with pytest.raises(InputFormatError, match="max_rows"):
+        marginal_contrast(c, spec, cc, outcome, data.treatments, max_rows=0)
 
 
 def test_general_draw_counts_are_typed_errors():
@@ -346,6 +357,10 @@ def test_general_draw_counts_are_typed_errors():
             intervention_mean_general(
                 np.zeros(4), copula, cc, outcome, data.treatments, **kwargs
             )
+    with pytest.raises(InputFormatError, match="max_rows"):
+        intervention_mean_general(
+            np.zeros(4), copula, cc, outcome, data.treatments, max_rows=0
+        )
 
 
 def test_general_estimator_independence_copula():
@@ -433,8 +448,9 @@ def test_general_estimator_rejects_wrong_length_t():
 
 def test_general_estimator_warns_on_clamped_confounder_cdf(monkeypatch):
     _, data, cc, outcome = _linear_setup(n=100, seed=14)
-    # several blocks, so the count must add up over all of them
-    monkeypatch.setattr(copula_module, "_BLOCK_PAIRS", 8)
+    # 3 rows of 4 x 50 triples per block and a partial last block, so the
+    # count must add up over all of them
+    monkeypatch.setattr(copula_module, "_BLOCK_ENTRIES", 600)
     copula = CopulaSpec("gaussian", gamma=np.zeros(1))
     kwargs = dict(m_draws=50, n_draws=4, seed=3)
     with warnings.catch_warnings(record=True) as caught:
@@ -510,11 +526,14 @@ def _general_reference(t, copula, cc, outcome, observed, m_draws, n_draws, seed)
     n_draws=st.integers(1, 7),
     m_draws=st.integers(1, 30),
     kind=st.sampled_from(["gaussian", "custom"]),
-    block=st.sampled_from([1, 2, 5, 13, 64, 4096]),
+    rows=st.sampled_from([0, 1, 2, 5, 13, 64]),
+    slack=st.integers(0, 1),
 )
 def test_blocked_general_estimator_equals_unblocked(
-    seed, n, m, n_draws, m_draws, kind, block
+    seed, n, m, n_draws, m_draws, kind, rows, slack
 ):
+    # a budget of `rows` whole rows, or below one row when rows is 0
+    block = max(1, rows * n_draws * m_draws + slack * (n_draws * m_draws - 1))
     cc, outcome, spec, observed, t = _random_model(seed, n, 3, m)
     if kind == "gaussian":
         copula = CopulaSpec("gaussian", gamma=spec.gamma)
@@ -524,12 +543,59 @@ def test_blocked_general_estimator_equals_unblocked(
         warnings.simplefilter("ignore")
         expected = _general_reference(t, copula, cc, outcome, observed, m_draws, n_draws, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(copula_module, "_BLOCK_PAIRS", block)
+            mp.setattr(copula_module, "_BLOCK_ENTRIES", block)
             got = intervention_mean_general(
                 t, copula, cc, outcome, observed, m_draws=m_draws, n_draws=n_draws,
                 seed=seed,
             )
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_gaussian_copula_weight_of_a_row_far_from_the_point():
+    # m = 1, Sigma = 1, r2 = 0.9: the last row sits about 40 sd above
+    # mu_{u|t} = 0, where exp(b c_u) alone would overflow for z_y > 1.9
+    cc = ConditionalConfounder(
+        coef=np.array([[1.0]]), sigma_u_given_t=np.array([[1.0]]),
+        treatment_means=np.zeros(1),
+    )
+    outcome = GaussianOutcome(tau_naive=np.ones(1), intercept=2.0, sigma2_y_given_t=1.0)
+    observed = TreatmentMatrix(np.array([[-1.0], [-0.3], [0.0], [0.4], [1.2], [40.0]]))
+    copula = CopulaSpec("gaussian", gamma=np.array([math.sqrt(0.9)]))
+    t = np.zeros(1)
+    kwargs = dict(m_draws=200, n_draws=7, seed=5)
+    expected = _general_reference(t, copula, cc, outcome, observed, **kwargs)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=RuntimeWarning, module="mtsens")
+        # six rows, five of them under the model: the weights cannot average 1
+        warnings.filterwarnings("ignore", "importance weights", UserWarning)
+        got = intervention_mean_general(t, copula, cc, outcome, observed, **kwargs)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_clamp_count_of_one_value():
+    u = np.array([CDF_CLAMP, 0.5, 1 - CDF_CLAMP])
+    same, clamped = copula_module._clamped(u)
+    assert same is u and clamped == 0
+    for bad, edge in ((np.nextafter(CDF_CLAMP, 0.0), CDF_CLAMP),
+                      (np.nextafter(1 - CDF_CLAMP, 1.0), 1 - CDF_CLAMP)):
+        clipped, clamped = copula_module._clamped(np.array([0.2, bad, 0.7]))
+        assert clamped == 1
+        assert clipped.tolist() == [0.2, edge, 0.7]
+    # one clamped draw among 500 maps through the clipped uniform and is
+    # counted, in the warning as well
+    emp = EmpiricalOutcome(
+        mean_fn=lambda x: 0.0 * np.asarray(x)[..., 0],
+        residual_quantiles=np.random.default_rng(1).normal(size=40),
+        sigma2_y_given_t=1.0,
+    )
+    ytilde = np.linspace(-2.0, 2.0, 500)
+    ytilde[123] = 9.0
+    with pytest.warns(UserWarning, match="^1 of 500 copula draws hit the CDF clamping"):
+        y = degaussianize(emp, np.zeros(1), ytilde)
+    top = conditional_cdf_quantile(emp, np.zeros(1))[1](np.array([1 - CDF_CLAMP]))
+    assert y[123] == top[0]
+    with pytest.warns(UserWarning, match="^1 of 1 copula draws"):
+        assert degaussianize(emp, np.zeros(1), 9.0) == top[0]
 
 
 def _gaussian_reference(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
@@ -588,7 +654,7 @@ def test_blocked_gaussian_path_equals_unblocked(seed, n, m, kind, n_sim, max_row
         warnings.simplefilter("ignore")
         expected = _gaussian_reference(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(copula_module, "_BLOCK_PAIRS", block)
+            mp.setattr(copula_module, "_BLOCK_ENTRIES", block)
             got = copula_module._gaussian_means(
                 ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows
             )
@@ -613,6 +679,26 @@ def test_general_estimator_memory_independent_of_rows():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_custom_copula_memory_at_benchmark_shape():
+    # the FGM call of the Monte Carlo benchmark: 2000 rows sampled down to
+    # 100, 200 x 50 draws, m = 3
+    cc, outcome, _, observed, t = _random_model(0, 2000, 5, 3)
+    copula = CopulaSpec("custom", density=_fgm_first)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            intervention_mean_general(
+                t, copula, cc, outcome, observed, m_draws=200, n_draws=50, seed=1,
+                max_rows=100,
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_gaussianize_identities():
