@@ -19,6 +19,7 @@ certified_cholesky_solve, under the same _full_rank rule.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -261,6 +262,59 @@ def basic_lstsq(x: np.ndarray, y: np.ndarray) -> LstsqFit:
     beta = np.zeros(p)
     beta[piv[:rank]] = solve_triangular(r[:rank, :rank], qty[:rank])
     return LstsqFit(beta, r, piv, rank)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The x >= 0 that minimizes ||a x - b|| for an m x n matrix a, and that
+    residual norm, by the active-set method of Lawson & Hanson (1974,
+    ch. 23). Each iteration moves the free column j of largest
+    w_j = a_j'(b - a x) > 0 into the passive set P and solves least squares
+    on the columns of P by np.linalg.lstsq. As in their NNLS, j is rejected,
+    until the next column enters, when lstsq's rank rule finds it dependent
+    on P or gives it a coefficient <= 0, so P keeps full column rank. While
+    the solution leaves the orthant, x steps back along the way to it, to
+    the first coordinate that reaches zero, and P drops that coordinate.
+    Iterations, step-backs included, are capped at 3n as in
+    scipy.optimize.nnls; at the cap the current iterate, nonnegative but
+    not optimal, is returned instead of an error."""
+    m, n = a.shape
+    x = np.zeros(n)
+    cols: list[int] = []  # P, in the order the columns entered
+    resid = b
+    solves = 0
+    while len(cols) < m:
+        w = a.T @ resid
+        w[cols] = 0.0
+        while True:
+            j = int(w.argmax())
+            if w[j] <= 0.0:
+                return x, math.sqrt(resid @ resid)
+            sub = a[:, cols + [j]]
+            s, _, rank, _ = np.linalg.lstsq(sub, b, rcond=None)
+            if rank > len(cols) and s[-1] > 0.0:
+                cols.append(j)
+                break
+            w[j] = 0.0
+        while True:  # step back until the solution on P is positive
+            solves += 1
+            if solves > 3 * n:
+                resid = b - a @ x
+                return x, math.sqrt(resid @ resid)
+            out = s <= 0.0
+            if not out.any():
+                break
+            xp = x[cols]
+            ratio = xp[out] / (xp[out] - s[out])
+            first = int(ratio.argmin())
+            xp += ratio[first] * (s - xp)
+            xp[np.flatnonzero(out)[first]] = 0.0
+            x[cols] = np.maximum(xp, 0.0)
+            cols = [c for c, v in zip(cols, xp.tolist()) if v > 0.0]
+            sub = a[:, cols]
+            s = np.linalg.lstsq(sub, b, rcond=None)[0]
+        x[cols] = s
+        resid = b - sub @ s
+    return x, math.sqrt(resid @ resid)
 
 
 def full_rank_lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:

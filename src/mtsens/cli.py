@@ -76,7 +76,7 @@ def _table_rows(path, limit: int | None = None) -> list[str]:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = (ln for ln in fh if ln.rstrip("\r\n") and not ln.startswith("#"))
             return list(itertools.islice(rows, limit))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -184,17 +184,22 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     (U margins normalized to unit variance), divided by the copula density of
     the U block alone. It is identically 1 when gamma = 0, even when the U
     coordinates are mutually correlated. Vectorized over leading axes of p, q.
+    InputFormatError for a p or q outside (0, 1), where the normal quantile
+    is infinite or undefined.
     """
     from scipy.special import ndtri  # imported on use: a slow import
 
     gamma = as_vector(gamma, "gamma")
     sigma = np.asarray(sigma_u_given_t, dtype=float)
     _copula_correlation(gamma, sigma)
+    p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != sigma.shape[0]:
         raise DimensionError("q must have m entries in its last axis")
-    return np.exp(_gaussian_log_density(
-        gamma, sigma, ndtri(np.asarray(p, dtype=float)), ndtri(q)))
+    for name, v in (("p", p), ("q", q)):
+        if not ((v > 0.0) & (v < 1.0)).all():
+            raise InputFormatError(f"{name} must lie in the open interval (0, 1)")
+    return np.exp(_gaussian_log_density(gamma, sigma, ndtri(p), ndtri(q)))
 
 
 def _gaussian_log_density(gamma, sigma, z_y, z_u, table=False):

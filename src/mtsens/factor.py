@@ -492,7 +492,7 @@ def _read_json(path, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 

@@ -8,7 +8,10 @@ eigendecomposition of G'G and a Newton iteration on the secular equation
 for the Lagrange multiplier. L1 and Linf run a log-barrier Newton method
 (Boyd & Vandenberghe 2004, ch. 11) with an m x m (Linf: (m+1) x (m+1))
 system per step; after each centering an active-set crossover turns the
-sorted residuals into exact primal and dual candidates. The solve stops
+sorted residuals into exact primal and dual candidates, the dual one from a
+small nonnegative least-squares solve (_linalg.nnls: Lawson & Hanson's
+active-set method in numpy, capped at 3n iterations, its nonnegative
+iterate used at the cap). The solve stops
 once best primal minus best dual value, both taken at feasible points,
 certifies the returned point to a relative tolerance; that duality gap is
 reported with the result.
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import as_vector, psd_roots
+from ._linalg import as_vector, nnls, psd_roots
 from .copula import SensitivitySpec
 from .errors import (
     CalibrationError,
@@ -322,9 +325,11 @@ def _dual_candidate(g_mat, naive, cap, norm, tol, z, picked):
     at their subgradient. L1 takes y_i = 2 lam_i - 1 with lam_i, 1 - lam_i
     >= 0; Linf takes y_i = sign(r_i) lam_i with sum(lam) = 1. The sign
     constraints keep ties (degenerate vertices) exact, where a plain
-    least-squares y would leave the ball and be clipped."""
-    from scipy.optimize import nnls  # imported on use: a slow import
-
+    least-squares y would leave the ball and be clipped. The solve is
+    _linalg.nnls, Lawson & Hanson's active-set method; should it stop at its
+    cap of 3n iterations, its iterate is still nonnegative, and the clip
+    (L1) or the scaling (Linf) below keeps y in the dual ball, so an
+    inexact lam only loosens the duality gap, never invalidates it."""
     n_contrasts, m = g_mat.shape
     res = naive - g_mat @ z
     size = np.abs(res)

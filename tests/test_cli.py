@@ -786,6 +786,33 @@ def test_unknown_outcome_kind_exit_2(linear_models, tmp_path, capsys):
     assert "unknown outcome kind 'lognormal'" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["fit", "calibrate", "rv"])
+def test_invalid_utf8_exit_2_names_the_file(linear_models, tmp_path, capsys, command):
+    # bytes that are not UTF-8 in a data row, in a header and in a model file
+    if command == "rv":
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "outcome.json").write_text(
+            (linear_models["models"] / "outcome.json").read_text())
+        bad = models / "confounder.json"
+        bad.write_bytes(b'{"m": 1, "k": "\xff"}')
+        argv = ["rv", "--models", str(models), "--contrast", "e1"]
+    else:
+        bad = tmp_path / "t.csv"
+        if command == "fit":
+            bad.write_bytes(b"a,y\n1,2\n\xff\xfe,3\n")
+            argv = ["fit", "--treatments", str(bad), "--outcome", "y", "--m", "1",
+                    "--out-dir", str(tmp_path / "m")]
+        else:
+            bad.write_bytes(b"a\xff,b,y\n1,2,3\n4,5,6\n")
+            argv = ["calibrate", "--treatments", str(bad), "--outcome", "y"]
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InputFormatError"
+    assert str(bad) in payload["message"]
+
+
 def test_bad_grid_spec_exit_2(linear_models, tmp_path, capsys):
     out = tmp_path / "out.json"
     rc, _, err = _run(
@@ -888,8 +915,9 @@ def test_commands_without_scipy_calls_load_no_scipy(linear_models, tmp_path):
          "--out-dir", str(tmp_path / "data")],
         ["bounds", "--models", models, "--all-unitwise", "--out", str(tmp_path / "b.json")],
         ["rv", "--models", models, "--all-unitwise", "--out", str(tmp_path / "rv.json")],
-        ["mcc", "--models", models, "--treatments", csv_path, "--outcome", "y",
-         "--norm", "l2", "--out-dir", str(tmp_path / "mcc")],
+        *(["mcc", "--models", models, "--treatments", csv_path, "--outcome", "y",
+           "--norm", norm, "--out-dir", str(tmp_path / f"mcc_{norm}")]
+          for norm in ("l1", "l2", "linf")),
     ]
     fit = ["fit", "--treatments", csv_path, "--outcome", "y", "--m", "1",
            "--out-dir", str(tmp_path / "models")]

@@ -78,12 +78,28 @@ def test_density_origin_value():
     assert val == pytest.approx(1.25, abs=1e-12)
 
 
-def test_density_vanishes_at_the_confounder_bounds():
-    # q = 0 or 1 puts the confounder at infinity, where the density is 0
-    p = np.array([0.1, 0.9, 0.1, 0.9])
-    q = np.array([[1.0], [1.0], [0.0], [0.0]])
-    val = gaussian_copula_density(np.array([0.6]), np.array([[1.0]]), p, q)
-    assert val.tolist() == [0.0] * 4
+def test_density_rejects_the_confounder_bounds():
+    # q = 0 or 1 puts the confounder at infinity, where the density came out
+    # as 0 for gamma != 0 but as nan for gamma = 0, where it is 1 inside
+    p = np.array([0.1, 0.9])
+    for gamma in (0.6, 0.0):
+        for bound in (0.0, 1.0):
+            with pytest.raises(InputFormatError, match="q must lie in the open interval"):
+                gaussian_copula_density(
+                    np.array([gamma]), np.array([[1.0]]), p, np.full((2, 1), bound))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [([1.0, 0.0, 1.5], [[0.7]] * 3), (1.0, [0.7]), (0.0, [0.7]), (1.5, [0.7]),
+     (np.nan, [0.7]), (0.5, [1.3])],
+    ids=["p-all", "p-one", "p-zero", "p-above", "p-nan", "q-above"],
+)
+def test_density_rejects_arguments_outside_the_open_interval(p, q):
+    # a normal quantile is infinite at 0 and 1 and undefined outside [0, 1]:
+    # p = [1, 0, 1.5] came out as [nan, 0, nan] with a RuntimeWarning
+    with pytest.raises(InputFormatError, match="must lie in the open interval"):
+        gaussian_copula_density(np.array([0.6]), np.array([[1.0]]), p, np.array(q))
 
 
 def test_density_elliptical_symmetry():

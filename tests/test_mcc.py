@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtsens.mcc as mcc_module
 from mtsens import (
     CalibrationError,
     ConditionalConfounder,
@@ -24,6 +26,7 @@ from mtsens import (
     robustness_value,
     worst_case_direction,
 )
+from mtsens._linalg import nnls
 
 
 def _inv_sqrt(sigma):
@@ -428,6 +431,103 @@ def test_certificate_holds_on_degenerate_banks(n_contrasts, m, kind, cap, seed):
         assert 0.0 <= res.duality_gap <= tol
         at_l2 = float(np.linalg.norm(bank.naive - g @ z_l2, order))
         assert res.achieved_norm <= at_l2 + tol + 1e-12 * max(1.0, at_l2)
+
+
+def _degenerate_bank(n_contrasts, m, kind, seed):
+    """The bank that test_certificate_holds_on_degenerate_banks draws."""
+    rng = np.random.default_rng(seed)
+    deltas = rng.normal(size=(n_contrasts, m))
+    naive = rng.normal(size=n_contrasts)
+    if kind == "rank_deficient" and m > 1:
+        deltas[:, -1] = rng.normal() * deltas[:, 0]
+    elif kind == "duplicated":
+        rows = rng.integers(0, n_contrasts, size=n_contrasts)
+        deltas, naive = deltas[rows], naive[rows]
+    elif kind == "integer":
+        deltas, naive = np.round(deltas), np.round(naive)
+    elif kind == "zero_row":
+        deltas[0] = 0.0
+    raw = rng.normal(size=(m, m))
+    return ContrastBank(
+        deltas=deltas,
+        naive=naive,
+        sigma_y_given_t=1.3,
+        sigma_u_given_t=raw @ raw.T / m + 0.2 * np.eye(m),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_contrasts=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["plain", "rank_deficient", "duplicated", "integer", "zero_row"]),
+    cap=st.floats(min_value=1e-6, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_dual_multipliers_match_scipy_nnls_at_full_column_rank(n_contrasts, m, kind, cap, seed):
+    # the multiplier systems that the dual candidates solve: where one has
+    # full column rank its solution is unique, and the numpy active-set
+    # solve must return scipy's
+    from scipy.optimize import nnls as scipy_nnls
+
+    bank = _degenerate_bank(n_contrasts, m, kind, seed)
+    systems = []
+
+    def spy(a, b):
+        x, rnorm = nnls(a, b)
+        systems.append((a.copy(), b.copy(), x))
+        return x, rnorm
+
+    with mock.patch.object(mcc_module, "nnls", spy):
+        for norm in ("l1", "linf"):
+            mcc_minimize(bank, norm=norm, r2_cap=cap)
+    for a, b, x in systems:
+        if np.linalg.matrix_rank(a) == a.shape[1]:
+            np.testing.assert_allclose(x, scipy_nnls(a, b)[0], rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=1, max_value=12),
+    edits=st.lists(st.sampled_from(["duplicate", "zero", "dependent", "integer"]), max_size=3),
+    rhs=st.sampled_from(["any", "cone", "polar"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_nnls_meets_kkt_and_matches_scipy(m, n, edits, rhs, seed):
+    # duplicate, zero and dependent columns; b anywhere, inside the cone of
+    # the columns, or in its polar cone, where x = 0
+    from scipy.optimize import nnls as scipy_nnls
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, n))
+    for edit in edits:
+        i, j, k = rng.integers(0, n, size=3)
+        if edit == "duplicate":
+            a[:, i] = a[:, j]
+        elif edit == "zero":
+            a[:, i] = 0.0
+        elif edit == "dependent":
+            a[:, i] = rng.normal() * a[:, j] + rng.normal() * a[:, k]
+        else:
+            a = np.round(a)
+    b = rng.normal(size=m)
+    if rhs == "cone":
+        b = a @ (np.abs(rng.normal(size=n)) * (rng.random(n) < 0.5))
+    elif rhs == "polar":
+        # negating the columns with a_j'b > 0 leaves a'b <= 0
+        a[:, a.T @ b > 0.0] *= -1.0
+    x, rnorm = nnls(a, b)
+    assert np.all(x >= 0.0)
+    if rhs == "polar":
+        assert not x.any()
+    # b - a x is known to eps times this, and w = a'(b - a x) to ||a|| times
+    # that: KKT is w <= 0 and x'w = 0 at that scale
+    scale = np.linalg.norm(b) + np.linalg.norm(a, 2) * np.linalg.norm(x)
+    w = a.T @ (b - a @ x)
+    assert w.max() <= 1e-12 * np.linalg.norm(a, 2) * scale
+    assert abs(x @ w) <= 1e-12 * np.linalg.norm(a, 2) * scale * np.linalg.norm(x)
+    assert abs(rnorm - scipy_nnls(a, b)[1]) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
