@@ -30,6 +30,11 @@ from .errors import DimensionError, InputFormatError, SingularFitError
 RANK_RTOL = 1e-10
 # Relative size of the out-of-row-space component that counts as leaving it.
 OUT_OF_ROW_SPACE_RTOL = 1e-8
+# Entries of the largest per-block array of the batched evaluations: n_sim
+# per row on the Gaussian Monte Carlo path, n_draws x m_draws per row in the
+# importance sampler, observed rows per point in the risk-ratio batches. A
+# block holds at least one row or point.
+_BLOCK_ENTRIES = 2**15
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import as_vector, psd_roots
+from ._linalg import _BLOCK_ENTRIES, as_vector, psd_roots
 from .errors import (
     CalibrationError,
     DegenerateModelError,
@@ -29,10 +29,6 @@ from .outcome import EmpiricalOutcome, GaussianOutcome, _quantile_type7, conditi
 
 CDF_CLAMP = 1e-15
 R2_SLACK = 1e-9
-# entries of the largest per-block array of the Monte Carlo estimators:
-# n_sim per row on the Gaussian path, n_draws x m_draws per row in the
-# importance sampler; a block holds at least one row
-_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)

@@ -244,24 +244,27 @@ def _probit_score(t, y, model):
 
 
 def _fisher_scoring_probit(t, y, tol=1e-12, max_iter=5000):
-    """The clipped, step-halving Fisher-scoring probit fit that preceded the
-    Newton one, run to a tighter score: beta and the Fisher information
-    there, or None when it does not get there."""
+    """The step-halving Fisher-scoring probit fit that preceded the Newton
+    one, run to a tighter score: beta and the Fisher information there, or
+    None when it does not get there. Likelihood, score and information are
+    taken through log_ndtr rather than a cdf clipped to [1e-12, 1 - 1e-12]:
+    under quasi-separation the clip pins the score of the separated rows
+    near 1e-12 and the line search then stalls above tol."""
     n = t.shape[0]
     x = np.column_stack([np.ones(n), t])
+    sgn = 2.0 * y - 1.0
     beta = np.zeros(x.shape[1])
 
     def nll(b):
-        p = np.clip(norm.cdf(x @ b), 1e-12, 1 - 1e-12)
-        return -float(y @ np.log(p) + (1 - y) @ np.log1p(-p))
+        return -float(np.sum(log_ndtr(sgn * (x @ b))))
 
     current = nll(beta)
     for _ in range(max_iter):
         eta = x @ beta
-        p = np.clip(norm.cdf(eta), 1e-12, 1 - 1e-12)
-        phi = norm.pdf(eta)
-        score = x.T @ (phi * (y - p) / (p * (1 - p)))
-        hess = x.T @ ((phi * phi / (p * (1 - p)))[:, None] * x)
+        log_phi = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
+        score = x.T @ (sgn * np.exp(log_phi - log_ndtr(sgn * eta)))
+        weight = np.exp(2.0 * log_phi - log_ndtr(eta) - log_ndtr(-eta))
+        hess = x.T @ (weight[:, None] * x)
         if np.max(np.abs(score)) < tol:
             return beta, hess
         step = np.linalg.lstsq(hess, score, rcond=None)[0]

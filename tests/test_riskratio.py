@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -15,10 +19,15 @@ from mtsens import (
     Contrast,
     DegenerateModelError,
     DimensionError,
+    InputFormatError,
     MtsensError,
     SensitivitySpec,
     TreatmentMatrix,
     binary_rv,
+    conditional_confounder,
+    fit_ppca,
+    fit_probit,
+    gen_gwas,
     marginal_contrast,
     rr_contrast,
     rr_curve,
@@ -26,7 +35,8 @@ from mtsens import (
     rr_single,
 )
 from mtsens.calibrate import gamma_from_signed_r2
-from mtsens.riskratio import _RrEvaluator
+from mtsens import riskratio
+from mtsens.riskratio import _N_POLISH, _ball_extremes, _restarts, _RrEvaluator
 
 CC_1D = ConditionalConfounder(
     coef=np.array([[1.0]]), sigma_u_given_t=np.array([[0.5]])
@@ -269,6 +279,20 @@ def test_rr_region_cap_validation():
         rr_ignorance_region(c, CC_1D, bo, TWO_POINT, 1.2)
 
 
+def test_rr_region_n_restarts_validation():
+    bo = _binout(0.8)
+    c = Contrast(np.array([1.0]), np.array([-1.0]))
+    for bad in (-1, 2.5):
+        with pytest.raises(InputFormatError):
+            rr_ignorance_region(c, CC_1D, bo, TWO_POINT, 0.5, n_restarts=bad)
+    # no restarts: both polishes start from the centre, and on this symmetric
+    # design they reach the closed-form ends gamma = -+1 of the interval
+    region = rr_ignorance_region(c, CC_1D, bo, TWO_POINT, 0.5, n_restarts=0)
+    ends = [rr_contrast(c, _spec(g), CC_1D, bo, TWO_POINT) for g in (-1.0, 1.0)]
+    assert region.lower == pytest.approx(min(ends), rel=1e-12)
+    assert region.upper == pytest.approx(max(ends), rel=1e-12)
+
+
 def test_binary_rv_unit_naive():
     bo = _binout(0.9)
     c = Contrast(np.array([0.4]), np.array([0.4]))
@@ -361,15 +385,113 @@ def test_evaluator_gradient_batch_and_gamma_coordinates(seed, m, k, n):
     batch = ev.rr(z)
     h = 1e-6
     for zi, bi in zip(z, batch):
-        value, grad = ev.rr_and_grad(zi)
+        value, grad, hess = ev.rr_grad_hess(zi)
         assert bi == pytest.approx(ev.rr(zi)[0], rel=1e-12)
         assert bi == pytest.approx(value, rel=1e-12)
         fd = np.array([(ev.rr(zi + h * e)[0] - ev.rr(zi - h * e)[0]) / (2 * h)
                        for e in np.eye(m)])
         assert np.linalg.norm(grad - fd) <= 1e-6 * (np.linalg.norm(grad) + value)
+        # the Hessian against central differences of the exact gradient
+        fd_hess = np.array([(ev.rr_grad_hess(zi + h * e)[1] - ev.rr_grad_hess(zi - h * e)[1])
+                            / (2 * h) for e in np.eye(m)])
+        assert np.linalg.norm(hess - fd_hess) <= 1e-6 * (
+            np.linalg.norm(hess) + np.linalg.norm(grad) + value)
         gamma = cc.roots.inv_root @ zi
         spec = SensitivitySpec.from_gamma(gamma, cc.sigma_u_given_t)
         assert rr_contrast(c, spec, cc, bo, observed) == pytest.approx(bi, rel=1e-12)
+
+
+def _slsqp_extremes(ev, points, radius):
+    """The SLSQP polish that the Newton polish replaced: from the best
+    _N_POLISH restarts each way, the best of the polished points (pulled
+    into the ball) and the first start."""
+    ball = {"type": "ineq", "fun": lambda z: radius * radius - z @ z,
+            "jac": lambda z: -2.0 * z}
+    points = np.unique(points, axis=0)
+    vals = ev.rr(points)
+    order = np.argsort(vals)
+    found = []
+    for sign, starts in ((1.0, order[:_N_POLISH]), (-1.0, order[::-1][:_N_POLISH])):
+
+        def objective(z, sign=sign):
+            v, g, _ = ev.rr_grad_hess(z)
+            return sign * v, sign * g
+
+        best = vals[starts[0]]
+        for i in starts:
+            # SLSQP may step far outside the ball, where both means vanish
+            with np.errstate(all="ignore"):
+                res = minimize(objective, points[i], jac=True, method="SLSQP",
+                               constraints=[ball], options={"ftol": 1e-12, "maxiter": 200})
+            z = res.x * min(1.0, radius / max(np.linalg.norm(res.x), 1e-300))
+            best = min(best, ev.rr(z)[0], key=lambda v: sign * v)
+        found.append(float(best))
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 4),
+    k=st.integers(1, 5),
+    n=st.integers(2, 50),
+    cap=st.floats(0.05, 1.0),
+)
+def test_newton_extremes_match_slsqp_oracle(seed, m, k, n, cap):
+    cc, observed, bo, rng = _random_model(seed, m, k, n)
+    ev = _RrEvaluator(Contrast(rng.normal(size=k), rng.normal(size=k)), cc, bo, observed)
+    radius = math.sqrt(cap)
+    points = _restarts(m, radius, 200, seed)
+    (lower, z_lo), (upper, z_hi), stable = _ball_extremes(ev, points, radius)
+    oracle_lo, oracle_hi = _slsqp_extremes(ev, points, radius)
+    assert stable
+    assert lower <= oracle_lo + 1e-9 * abs(oracle_lo)
+    assert upper >= oracle_hi - 1e-9 * abs(oracle_hi)
+    # each value is rr at its returned point, which lies in the ball
+    for value, z in ((lower, z_lo), (upper, z_hi)):
+        assert np.linalg.norm(z) <= radius * (1 + 1e-12)
+        assert ev.rr(z)[0] == pytest.approx(value, rel=1e-14)
+
+
+def test_rr_region_slow_case_takes_few_newton_steps(monkeypatch):
+    # SLSQP spent 2468 gradient calls on this region; the Newton polishes
+    # need 33 Hessian evaluations in all
+    sim = gen_gwas(n=500, k=20, m=3, seed=7)
+    y = (sim.y > np.median(sim.y)).astype(float)
+    cc = conditional_confounder(fit_ppca(sim.treatments, 3))
+    bo = fit_probit(sim.treatments, y)
+    calls = []
+    rr_grad_hess = _RrEvaluator.rr_grad_hess
+    monkeypatch.setattr(_RrEvaluator, "rr_grad_hess",
+                        lambda self, x: calls.append(1) or rr_grad_hess(self, x))
+    region = rr_ignorance_region(Contrast.unit(20, 0), cc, bo, sim.treatments, 0.5)
+    assert region.lower == pytest.approx(0.8659028718712637, rel=1e-9)
+    assert region.upper == pytest.approx(0.9999482013072781, rel=1e-9)
+    assert len(calls) <= 100
+
+
+def test_searches_leave_scipy_optimize_unloaded():
+    # a fresh interpreter, because this one has loaded scipy.optimize
+    package_root = str(Path(riskratio.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = """
+import sys
+import numpy as np
+import mtsens
+rng = np.random.default_rng(0)
+cc = mtsens.ConditionalConfounder(coef=rng.normal(size=(2, 3)),
+                                  sigma_u_given_t=np.diag([0.4, 0.3]))
+observed = mtsens.TreatmentMatrix(rng.normal(size=(40, 3)))
+bo = mtsens.BinaryOutcome(probit_coef=rng.normal(size=3), probit_intercept=0.1, p_y1=0.5)
+c = mtsens.Contrast.unit(3, 0)
+mtsens.rr_ignorance_region(c, cc, bo, observed, 0.5, n_restarts=20)
+mtsens.binary_rv(c, cc, bo, observed)
+print("scipy.optimize" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # Seeds on which coordinate sweeps missed the polar-grid extremes and the
