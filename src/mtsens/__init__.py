@@ -105,98 +105,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MtsensError",
-    "DimensionError",
-    "DegenerateModelError",
-    "SingularFitError",
-    "SeparationError",
-    "InvalidCopulaError",
-    "CalibrationError",
-    "PositivityError",
-    "ConvergenceError",
-    "InputFormatError",
-    # factor
-    "TreatmentMatrix",
-    "FactorModel",
-    "ConditionalConfounder",
-    "Contrast",
-    "fit_ppca",
-    "ppca_from_covariance",
-    "select_dim",
-    "conditional_confounder",
-    "mu_delta",
-    "save_factor_model",
-    "load_factor_model",
-    "save_confounder",
-    "load_confounder",
-    # outcome
-    "GaussianOutcome",
-    "BinaryOutcome",
-    "EmpiricalOutcome",
-    "PolynomialMeanFn",
-    "fit_linear",
-    "fit_probit",
-    "fit_empirical",
-    "conditional_cdf_quantile",
-    "save_outcome",
-    "load_outcome",
-    # copula
-    "SensitivitySpec",
-    "CopulaSpec",
-    "MonteCarloMean",
-    "degaussianize",
-    "gaussianize",
-    "gaussian_copula_density",
-    "intervention_mean_gaussian",
-    "intervention_mean_general",
-    "marginal_contrast",
-    # bounds
-    "IgnoranceRegion",
-    "WorstCaseDirection",
-    "RobustnessValue",
-    "ContrastBoundSweep",
-    "bias_closed_form",
-    "worst_case_bias",
-    "worst_case_direction",
-    "ignorance_region",
-    "contrast_bound_sweep",
-    "robustness_value",
-    "single_treatment_bias",
-    # calibrate
-    "gamma_from_r2_direction",
-    "gamma_from_signed_r2",
-    "partial_r2_treatment",
-    "implicit_r2",
-    "benchmark_table",
-    # mcc
-    "ContrastBank",
-    "MccResult",
-    "MccReportRow",
-    "build_bank_unitwise",
-    "pate_vector",
-    "mcc_minimize",
-    "mcc_report",
-    # riskratio
-    "rr_single",
-    "rr_contrast",
-    "rr_curve",
-    "rr_ignorance_region",
-    "binary_rv",
-    # simulate
-    "SimTruth",
-    "SimData",
-    "gen_linear_gaussian",
-    "gen_nonlinear",
-    "gen_gwas",
-    "naive_closed_form",
-    "rotation_sweep",
-    # proxy
-    "ProxyFit",
-    "fit_proxy",
-    "sigma_u2_domain",
-    "tau_adjusted",
-    "tau_bounds",
+# every public name imported above, without the submodules (errors among
+# them) that the imports bind as attributes too
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(errors))
 ]

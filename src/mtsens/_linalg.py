@@ -4,17 +4,18 @@ Every square root, inverse root and rank of a symmetric PSD matrix comes
 from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
 RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
-space. Every least-squares fit solves normal equations through a Gram
-matrix that certified_gram factors and certifies, by dpocon estimates on
-the equilibrated Gram (rcond > sqrt(eps) for accuracy, and the condition
-rule of _full_rank on its square root, since kappa(x'x) = kappa(x)^2, for
-the verdict), plus one refinement step; without the certificate a pivoted
-QR with one rank rule (|R_ii| > max|R_ii| * max(n, p) * eps) decides.
-fit_linear solves from the centered Gram that the factor model also uses
-(centered_lstsq), else goes to full_rank_lstsq on [1, T]. fit_proxy
-(through full_rank_lstsq), benchmark_table and partial_r2_treatment call
-basic_lstsq, which tries certified_lstsq on x'x first; fit_empirical calls
-certified_lstsq, else an SVD. The probit Newton step solves its Hessian by
+space. Every least-squares fit regresses on a design with an intercept,
+[1, t], and takes one path, lstsq: the centered Gram t_c't_c / n of
+_moments (the matrix the factor model factors too), factored and certified
+by certified_gram, by dpocon estimates on the equilibrated Gram (rcond >
+sqrt(eps) for accuracy, and the condition rule of _full_rank on its square
+root, since kappa(x'x) = kappa(x)^2, for the verdict), plus one refinement
+step; without the certificate, one pivoted QR of [1, t] with one rank rule
+(|R_ii| > max|R_ii| * max(n, p) * eps) decides. fit_linear, fit_proxy
+(through full_rank_lstsq, which names the dependent columns),
+benchmark_table and partial_r2_treatment call lstsq; fit_empirical calls
+its certified step, gram_lstsq, else an SVD for the minimum-norm
+solution. The probit Newton step solves its Hessian by
 certified_cholesky_solve, under the same _full_rank rule.
 """
 from __future__ import annotations
@@ -129,11 +130,12 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
 
 
 class LstsqFit(NamedTuple):
-    """Least-squares fit of y on the columns of x with r'r = x[:, piv]'x[:, piv]
-    and r upper triangular. The columns piv[:rank] are a basis and beta is
-    the basic solution, zero on the dependent columns piv[rank:]. r is the
-    certified Cholesky factor of x'x (piv the identity, rank = p) or else the
-    R of a pivoted QR; the two agree up to row signs where both exist."""
+    """Least-squares fit of y on the columns of x = [1, t] with
+    r'r = x[:, piv]'x[:, piv] and r upper triangular. The columns piv[:rank]
+    are a basis and beta is the basic solution, zero on the dependent columns
+    piv[rank:]. r is the Cholesky factor of x'x that gram_lstsq builds from
+    the certified centered Gram (piv the identity, rank = p) or else the R of
+    a pivoted QR; the two agree up to row signs where both exist."""
 
     beta: np.ndarray
     r: np.ndarray
@@ -166,12 +168,15 @@ def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray
     return lapack.dpotrs(c, b)[0]
 
 
-def certified_gram(g: np.ndarray, n: int, intercept: bool = False) -> np.ndarray | None:
-    """The upper Cholesky factor c of the Gram matrix g = x'x of an n-row
-    design x, c'c = g, when a dpocon estimate rcond of the equilibrated
-    G_s = D^-1 g D^-1, D = diag(g)^1/2, whose factor is c D^-1, certifies
-    it; None otherwise, and before equilibrating when D has a zero (a zero
-    column of x). A positive multiple of g certifies as g does.
+def certified_gram(g: np.ndarray, n: int) -> np.ndarray | None:
+    """The upper Cholesky factor c of the covariance g = x_c'x_c / n of the
+    centered columns x_c of an n-row design, c'c = g, when a dpocon
+    estimate rcond of the equilibrated G_s = D^-1 g D^-1, D = diag(g)^1/2,
+    whose factor is c D^-1, certifies the design x = [1, x_c]; None
+    otherwise, and before equilibrating when D has a zero (a constant
+    column). The Gram of x over n, blockdiag(1, g), equilibrates to
+    blockdiag(1, G_s), whose rcond is that of G_s, and a positive multiple
+    of g certifies as g does.
     - Accuracy: rcond > sqrt(eps). Forming g and factoring it err by eps
       relative to the columns of x, so the error of a normal-equations
       solve per unit-norm column follows kappa(G_s), whatever the column
@@ -179,20 +184,17 @@ def certified_gram(g: np.ndarray, n: int, intercept: bool = False) -> np.ndarray
       kappa(G_s) eps relative, and a refinement step multiplies that error
       by about kappa(G_s) eps, so kappa(G_s) < 1/sqrt(eps) leaves it at
       rounding level, as accurate as a QR solve.
-    - Verdict: sqrt(rcond) d_min / d_max, over the diagonal d of D, passes
-      the rule of _full_rank for p columns. kappa_2(g) <= kappa_2(G_s)
-      kappa_2(D)^2 and, G_s being symmetric, kappa_2(G_s) <= kappa_1(G_s),
-      so with the rule's 10x allowance for the estimate kappa_2(x)^2 =
-      kappa_2(g) < 10 / (20 p max(n, p) eps)^2 and kappa_2(x) <
-      1/(6 p max(n, p) eps), inside the 1/(2 max(n, p) eps) that the same
-      rule on a QR's R implies: the pivoted QR's rank rule also finds full
-      rank, for every n and p. Without the factor d_min / d_max it would
-      not: a column 1e-14 times the others passes the scale-free accuracy
-      rule, and the pivoted rule names it as dependent.
-    With intercept, g is the covariance x_c'x_c / n of centered columns
-    x_c, and the design is [1, x_c]: its Gram over n, blockdiag(1, g),
-    equilibrates to blockdiag(1, G_s), whose rcond is that of G_s, and the
-    verdict counts the intercept column, with d = 1."""
+    - Verdict: sqrt(rcond) d_min / d_max, over the diagonal d of D and the
+      intercept's d = 1, passes the rule of _full_rank for the p columns
+      of x. kappa_2(x'x) <= kappa_2(G_s) kappa_2(D)^2 and, G_s being
+      symmetric, kappa_2(G_s) <= kappa_1(G_s), so with the rule's 10x
+      allowance for the estimate kappa_2(x)^2 = kappa_2(x'x) <
+      10 / (20 p max(n, p) eps)^2 and kappa_2(x) < 1/(6 p max(n, p) eps),
+      inside the 1/(2 max(n, p) eps) that the same rule on a QR's R
+      implies: the pivoted QR's rank rule also finds full rank, for every
+      n and p. Without the factor d_min / d_max it would not: a column
+      1e-14 times the others passes the scale-free accuracy rule, and the
+      pivoted rule names it as dependent."""
     from scipy.linalg import lapack  # imported on use: a slow import
 
     d = np.sqrt(np.diag(g))
@@ -202,65 +204,65 @@ def certified_gram(g: np.ndarray, n: int, intercept: bool = False) -> np.ndarray
     if info != 0:
         return None
     rcond, info = lapack.dpocon(c / d, np.linalg.norm(g / np.outer(d, d), 1))
-    if intercept:
-        d = np.append(d, 1.0)
+    d = np.append(d, 1.0)
     verdict = _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, d.size)
     if info != 0 or rcond <= np.sqrt(np.finfo(float).eps) or not verdict:
         return None
     return c
 
 
-def certified_lstsq(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The least-squares coefficients b of y on the columns of x and the
-    certified_gram factor r of G = x'x, r'r = G; None without the
-    certificate (n < p included). b solves G b = x'y by dpotrs and takes
-    one refinement step, b += G^-1 x'(y - x b), two O(np) products
-    (Bjorck 1996, sec. 2.9)."""
+def _moments(t: np.ndarray):
+    """Column means and the covariance (divisor n) of the rows of t. n times
+    the covariance is the centered Gram matrix t_c't_c, the one matrix
+    behind the factor model, select_dim and every least-squares fit."""
+    means = t.mean(axis=0)
+    centered = t - means
+    return means, (centered.T @ centered) / t.shape[0]
+
+
+def gram_lstsq(t: np.ndarray, y: np.ndarray, moments=None) -> LstsqFit | None:
+    """The least-squares fit of y on [1, t] from the column means of t and
+    cov = t_c't_c / n, t_c = t - means (moments, when the caller has them),
+    when certified_gram certifies cov for the design [1, t_c]; None
+    otherwise (n <= k, or no columns, included). The slopes b solve
+    cov b = t_c'(y - mean(y)) / n by dpotrs and take one refinement step,
+    b += cov^-1 t_c'(y - mean(y) - t_c b) / n, two O(nk) products (Bjorck
+    1996, sec. 2.9), and the intercept is mean(y) - means'b. The products
+    t_c'v are formed as t'v - means sum(v), so t_c is never stored. With
+    c'c = cov, r = sqrt(n) [[1, means'], [0, c]], so r'r = [1, t]'[1, t]."""
     from scipy.linalg import lapack  # imported on use: a slow import
 
-    n, p = x.shape
-    if n < p:
+    n, k = t.shape
+    if not n > k > 0:
         return None
-    c = certified_gram(x.T @ x, n)
-    if c is None:
-        return None
-    b = lapack.dpotrs(c, x.T @ y)[0]
-    b += lapack.dpotrs(c, x.T @ (y - x @ b))[0]
-    return b, c
-
-
-def centered_lstsq(t: np.ndarray, y: np.ndarray, means: np.ndarray,
-                   cov: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """The intercept a and slopes b of the least-squares fit of y on [1, t],
-    from the column means of t and cov = t_c't_c / n, t_c = t - means, when
-    certified_gram certifies cov for the design [1, t_c]; None otherwise.
-    b solves cov b = t_c'(y - mean(y)) / n and takes one refinement step,
-    as in certified_lstsq, and a = mean(y) - means'b. The products t_c'v
-    are formed as t'v - means sum(v), so t_c is never stored."""
-    from scipy.linalg import lapack  # imported on use: a slow import
-
-    n = t.shape[0]
-    c = certified_gram(cov, n, intercept=True)
+    means, cov = _moments(t) if moments is None else moments
+    c = certified_gram(cov, n)
     if c is None:
         return None
     ybar = float(y.mean())
-    r = y - ybar
-    b = lapack.dpotrs(c, (t.T @ r - means * r.sum()) / n)[0]
-    r -= t @ b - means @ b
-    b += lapack.dpotrs(c, (t.T @ r - means * r.sum()) / n)[0]
-    return ybar - float(means @ b), b
+    resid = y - ybar
+    b = lapack.dpotrs(c, (t.T @ resid - means * resid.sum()) / n)[0]
+    resid -= t @ b - means @ b
+    b += lapack.dpotrs(c, (t.T @ resid - means * resid.sum()) / n)[0]
+    r = np.zeros((k + 1, k + 1))
+    r[0, 0] = 1.0
+    r[0, 1:] = means
+    r[1:, 1:] = c
+    r *= math.sqrt(n)
+    return LstsqFit(np.concatenate([[ybar - float(means @ b)], b]), r, np.arange(k + 1), k + 1)
 
 
-def basic_lstsq(x: np.ndarray, y: np.ndarray) -> LstsqFit:
-    """The least-squares fit of y on the columns of x at any rank: the
-    certified_lstsq fit, else a pivoted QR, x[:, piv] = QR, with rank the
-    number of |R_ii| > max|R_ii| max(n, p) eps."""
+def lstsq(t: np.ndarray, y: np.ndarray, moments=None) -> LstsqFit:
+    """The least-squares fit of y on x = [1, t] at any rank: the gram_lstsq
+    fit, else a pivoted QR, x[:, piv] = QR, with rank the number of
+    |R_ii| > max|R_ii| max(n, p) eps."""
+    fit = gram_lstsq(t, y, moments)
+    if fit is not None:
+        return fit
     from scipy.linalg import qr_multiply, solve_triangular  # imported on use: a slow import
 
+    x = np.column_stack([np.ones(t.shape[0]), t])
     n, p = x.shape
-    fit = certified_lstsq(x, y)
-    if fit is not None:
-        return LstsqFit(fit[0], fit[1], np.arange(p), p)
     qty, r, piv = qr_multiply(x, y, mode="right", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > diag.max() * max(n, p) * np.finfo(float).eps))
@@ -322,11 +324,14 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, math.sqrt(resid @ resid)
 
 
-def full_rank_lstsq(x: np.ndarray, y: np.ndarray, names: list[str]) -> np.ndarray:
-    """Coefficients of y on the columns of x by basic_lstsq. SingularFitError
-    names the dependent columns of a rank-deficient x."""
-    fit = basic_lstsq(x, y)
-    if fit.rank < x.shape[1]:
+def full_rank_lstsq(t: np.ndarray, y: np.ndarray, names: list[str],
+                    moments=None) -> np.ndarray:
+    """The coefficients [intercept, slopes] of y on [1, t] by lstsq.
+    SingularFitError names the dependent columns of a rank-deficient
+    [1, t]: "intercept", or the name of a column of t."""
+    fit = lstsq(t, y, moments)
+    if fit.rank <= t.shape[1]:
+        names = ["intercept"] + list(names)
         labels = [names[i] for i in sorted(fit.piv[fit.rank:])]
         raise SingularFitError(
             f"design matrix is rank deficient; dependent columns: {labels}",

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import as_vector, basic_lstsq
+from ._linalg import as_vector, lstsq
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
@@ -48,12 +48,10 @@ def _outcome(treatments: TreatmentMatrix, y):
 
 
 def _fit_rss(t: np.ndarray, y: np.ndarray):
-    """The design [1, t], its basic_lstsq fit of y and the residual sum of
-    squares."""
-    x = np.column_stack([np.ones(t.shape[0]), t])
-    fit = basic_lstsq(x, y)
-    resid = y - x @ fit.beta
-    return x, fit, float(resid @ resid)
+    """The lstsq fit of y on [1, t] and its residual sum of squares."""
+    fit = lstsq(t, y)
+    resid = y - fit.beta[0] - t @ fit.beta[1:]
+    return fit, float(resid @ resid)
 
 
 def _rest_columns(k: int, j: Iterable[int] | int) -> list[int]:
@@ -71,15 +69,15 @@ def partial_r2_treatment(treatments: TreatmentMatrix, y, j) -> float:
     """Partial R2 of treatment columns j on the outcome after controlling
     for all remaining columns: (RSS_rest - RSS_full) / RSS_rest, which is
     (R2_full - R2_rest) / (1 - R2_rest), with both intercept fits by
-    basic_lstsq.
+    lstsq.
 
     Tiny negative values from floating-point rounding are clipped to zero;
     larger ones draw a warning first.
     """
     rest = _rest_columns(treatments.k, j)
     y, tss = _outcome(treatments, y)
-    rss_full = _fit_rss(treatments.data, y)[2]
-    rss_rest = _fit_rss(treatments.data[:, rest], y)[2]
+    rss_full = _fit_rss(treatments.data, y)[1]
+    rss_rest = _fit_rss(treatments.data[:, rest], y)[1]
     if rss_rest < 1e-12 * tss:
         raise CalibrationError(EXACT_RESTRICTED_FIT)
     partial = (rss_rest - rss_full) / rss_rest
@@ -137,36 +135,38 @@ def benchmark_table(
     treatments: TreatmentMatrix, y, names: Sequence[str] | None = None
 ) -> list[tuple[str, float]]:
     """Per-column benchmark: partial R2 of each treatment given the rest,
-    from one basic_lstsq of X = [1, T], at any rank (Cinelli & Hazlett 2020).
+    from one lstsq of y on X = [1, T], at any rank (Cinelli & Hazlett 2020).
     Dropping a basis column j raises the full RSS by beta_j^2 / V_jj, with
     V = R11^{-1} R11^{-T} over the basis, R11'R11 its Gram matrix (R the
-    certified Cholesky factor of X'X or a pivoted QR's R), so partial R2 is
-    (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) = t_j^2 / (t_j^2 + df). A
-    column outside the basis scores 0, and so does a basis column c that a
-    dependent column i needs, |W_ci| ||x_c|| / ||x_i|| > max(n, p) eps kappa
-    with W = R11^{-1} R12 and kappa the condition number of the basis at
-    unit column norms: dropping either leaves the span of X unchanged.
-    Feeds the calibrate CLI's TSV output."""
+    Cholesky factor of X'X from the certified centered Gram, or a pivoted
+    QR's R), so partial R2 is (beta_j^2/V_jj) / (beta_j^2/V_jj + RSS) =
+    t_j^2 / (t_j^2 + df). A column outside the basis scores 0, and so does
+    a basis column c that a dependent column i needs, |W_ci| ||x_c|| /
+    ||x_i|| > max(n, p) eps kappa with W = R11^{-1} R12 and kappa the
+    condition number of the basis at unit column norms: dropping either
+    leaves the span of X unchanged. Feeds the calibrate CLI's TSV output."""
     from scipy.linalg import solve_triangular  # imported on use: a slow import
 
     names = list(names) if names is not None else treatments.names()
     if len(names) != treatments.k:
         raise DimensionError("names length must match the number of columns")
     y, tss = _outcome(treatments, y)
-    x, fit, rss = _fit_rss(treatments.data, y)
+    t = treatments.data
+    n, p = t.shape[0], t.shape[1] + 1
+    fit, rss = _fit_rss(t, y)
     rank, basis, dependent = fit.rank, fit.piv[:fit.rank], fit.piv[fit.rank:]
     r_inv = solve_triangular(fit.r[:rank, :rank], np.eye(rank))
     v_diag = np.sum(r_inv**2, axis=1)
-    drop = np.zeros(x.shape[1])
+    drop = np.zeros(p)
     drop[basis] = fit.beta[basis] ** 2 / v_diag
     if dependent.size:
-        norms = np.linalg.norm(x, axis=0)
+        norms = np.concatenate([[np.sqrt(n)], np.linalg.norm(t, axis=0)])
         # the rounding error of W grows with the condition number of the
         # basis with unit-norm columns; in Frobenius norm it is
         # sqrt(rank * sum_j ||x_j||^2 V_jj)
         kappa = np.sqrt(rank * np.sum(norms[basis] ** 2 * v_diag))
         w = np.abs(r_inv @ fit.r[:rank, rank:]) * norms[basis, None]
-        needed = w > max(x.shape) * np.finfo(float).eps * kappa * norms[dependent]
+        needed = w > max(n, p) * np.finfo(float).eps * kappa * norms[dependent]
         drop[basis[needed.any(axis=1)]] = 0.0
     drop = drop[1:]
     if np.any(rss + drop < 1e-12 * tss):

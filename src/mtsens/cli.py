@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._linalg import as_vector
+from ._linalg import _moments, as_vector
 from .bounds import _check_r2, ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
 from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
@@ -29,7 +29,6 @@ from .factor import (
     Contrast,
     Table,
     TreatmentMatrix,
-    _moments,
     _distinct_reprs,
     _select_dim,
     _write_json,
@@ -257,7 +256,7 @@ def cmd_fit(args, prov: dict) -> int:
     tm = TreatmentMatrix(t_data, column_names=t_names)
     # one centered Gram for the dimension choice, the factor model and the
     # linear fit
-    moments = _moments(tm)
+    moments = _moments(tm.data)
     m = args.m if args.m is not None else _select_dim(tm, moments[1], args.select_dim)
     fm = fit_ppca(tm, m, moments=moments)
     cc = conditional_confounder(fm)

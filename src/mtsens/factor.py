@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import PsdRoots, as_vector, eigh_desc, fix_column_signs, psd_roots, symmetrize
+from ._linalg import (PsdRoots, _moments, as_vector, eigh_desc, fix_column_signs, psd_roots,
+                      symmetrize)
 from .errors import DegenerateModelError, DimensionError, InputFormatError
 
 
@@ -247,21 +248,13 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
     )
 
 
-def _moments(treatments: TreatmentMatrix):
-    """Column means and the k x k covariance (divisor n) of the treatments.
-    n times the covariance is the centered Gram matrix T_c'T_c, the one
-    matrix behind the factor model, select_dim and fit_linear's slopes."""
-    means = treatments.data.mean(axis=0)
-    centered = treatments.data - means
-    return means, (centered.T @ centered) / treatments.n
-
-
 def fit_ppca(treatments: TreatmentMatrix, m: int, *, moments=None) -> FactorModel:
     """Maximum-likelihood factor model for the observed treatments.
 
     Columns are centered internally; the removed means are stored on the
     returned model so downstream code can keep working with raw t vectors.
-    moments are the treatments' _moments, when the caller has them.
+    moments are the _moments of the treatments' data, when the caller has
+    them.
     """
     n, k = treatments.n, treatments.k
     if n <= k:
@@ -269,7 +262,7 @@ def fit_ppca(treatments: TreatmentMatrix, m: int, *, moments=None) -> FactorMode
             f"n={n} <= k={k}: factor model estimates will be unstable",
             stacklevel=2,
         )
-    means, cov = _moments(treatments) if moments is None else moments
+    means, cov = _moments(treatments.data) if moments is None else moments
     return ppca_from_covariance(cov, m, treatment_means=means)
 
 
@@ -284,7 +277,7 @@ def select_dim(treatments: TreatmentMatrix, method: str = "eigen_gap") -> int:
     thresholded binary treatments, whose covariance is arcsin(corr(T*))/(2 pi)
     of the latent T*, these exceed the latent factors.
     """
-    return _select_dim(treatments, _moments(treatments)[1], method)
+    return _select_dim(treatments, _moments(treatments.data)[1], method)
 
 
 def _select_dim(treatments: TreatmentMatrix, cov, method: str) -> int:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import centered_lstsq, certified_cholesky_solve, certified_lstsq, full_rank_lstsq
+from ._linalg import as_vector, certified_cholesky_solve, full_rank_lstsq, gram_lstsq
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
-from .factor import TreatmentMatrix, _moments, _read_json, _write_json
+from .factor import TreatmentMatrix, _read_json, _write_json
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
@@ -122,29 +122,22 @@ class PolynomialMeanFn:
 
 
 def fit_linear(treatments: TreatmentMatrix, y, *, moments=None) -> GaussianOutcome:
-    """Ordinary least squares of y on the treatments, with intercept.
-
-    The slopes come from the centered Gram matrix that fit_ppca factors
-    too, n times the covariance of _moments (passed as moments when the
-    caller has them), by centered_lstsq: a certified Cholesky solve and one
-    refinement step. Without its certificate (a constant or duplicated
-    column, say) the design [1, T] goes to full_rank_lstsq, whose
-    SingularFitError names the dependent columns.
+    """Ordinary least squares of y on the treatments, with intercept, by
+    full_rank_lstsq on [1, T]: the slopes from the centered Gram matrix that
+    fit_ppca factors too, n times the covariance of _moments (passed as
+    moments when the caller has them), by a certified Cholesky solve and one
+    refinement step, else a pivoted QR, whose SingularFitError names the
+    dependent columns (a constant or duplicated column, say).
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = as_vector(y, "y")
     n, k = treatments.n, treatments.k
     if y.shape[0] != n:
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
     t = treatments.data
-    fit = centered_lstsq(t, y, *(_moments(treatments) if moments is None else moments))
-    if fit is None:
-        beta = full_rank_lstsq(
-            np.column_stack([np.ones(n), t]), y, ["intercept"] + treatments.names()
-        )
-        fit = float(beta[0]), beta[1:]
-    intercept, tau = fit
+    beta = full_rank_lstsq(t, y, treatments.names(), moments)
+    intercept, tau = float(beta[0]), beta[1:]
     resid = y - intercept - t @ tau
     sigma2 = float(resid @ resid) / (n - k - 1)
     # relative to var(y), so the verdict does not depend on the units of y;
@@ -255,8 +248,8 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     The polynomial regresses y on [1, t, t**2, ..., t**degree] per column and
     keeps the minimum-norm least-squares coefficients, the solution
     np.linalg.lstsq returns. A power t_j**d equal to t_j (0/1 treatments)
-    copies the column t_j, so certified_lstsq solves only the distinct
-    columns, by one Cholesky factor of their Gram matrix and one refinement
+    copies the column t_j, so gram_lstsq solves only the distinct columns,
+    by one Cholesky factor of their centered Gram matrix and one refinement
     step, and each copy of t_j gets an equal share of its coefficient.
     Without its full-rank certificate (a constant or duplicated column, or
     t**2 = -t on {0, -1}) the full design goes to np.linalg.lstsq, an SVD.
@@ -265,7 +258,7 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     since the effective degrees of freedom of a pluggable regressor are
     unknown.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = as_vector(y, "y")
     n = treatments.n
     if y.shape[0] != n:
         raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
@@ -277,22 +270,25 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
         # dup[d - 2, j]: t_j**d is the column t_j itself
         dup = np.array([np.all(pw == t, axis=0) for pw in powers], dtype=bool)
         dup = dup.reshape(degree - 1, k)
-        x = np.hstack([np.ones((n, 1)), t] + [pw[:, ~c] for pw, c in zip(powers, dup)])
-        fit = certified_lstsq(x, y)
+        distinct = [pw[:, ~c] for pw, c in zip(powers, dup) if not c.all()]
+        # 0/1 treatments have no distinct power, and t is not copied
+        cols = np.hstack([t] + distinct) if distinct else t
+        fit = gram_lstsq(cols, y)
         if fit is not None:
-            beta = fit[0]
+            beta = fit.beta
             # every solution has the same sum over the copies of t_j; the
             # equal split is the one of least norm
             share = beta[1:k + 1] / (1 + dup.sum(axis=0))
             higher = np.zeros(dup.shape)
             higher[~dup] = beta[k + 1:]
             coef = np.vstack([share, np.where(dup, share, higher)]).T
+            resid = y - beta[0] - cols @ beta[1:]
         else:
             x = np.hstack([np.ones((n, 1)), t] + powers)
             beta, *_ = np.linalg.lstsq(x, y, rcond=None)
             coef = beta[1:].reshape(degree, k).T
+            resid = y - x @ beta
         mean_fn = PolynomialMeanFn(degree=degree, intercept=float(beta[0]), coef=coef)
-        resid = y - x @ beta
     else:
         resid = y - np.asarray(mean_fn(treatments.data), dtype=float).reshape(-1)
     sigma2 = float(np.mean(resid**2))

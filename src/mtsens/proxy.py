@@ -59,13 +59,11 @@ def fit_proxy(y, t, z) -> ProxyFit:
         raise DegenerateModelError("proxy has zero variance")
     z = (z - z.mean()) / z_sd
 
-    design_t = np.column_stack([np.ones(n), z])
-    coef_t = full_rank_lstsq(design_t, t, ["intercept", "z"])
-    resid_t = t - design_t @ coef_t
+    coef_t = full_rank_lstsq(z[:, None], t, ["z"])
+    resid_t = t - coef_t[0] - coef_t[1] * z
 
-    design_y = np.column_stack([np.ones(n), t, z])
-    coef_y = full_rank_lstsq(design_y, y, ["intercept", "t", "z"])
-    resid_y = y - design_y @ coef_y
+    coef_y = full_rank_lstsq(np.column_stack([t, z]), y, ["t", "z"])
+    resid_y = y - coef_y[0] - coef_y[1] * t - coef_y[2] * z
 
     return ProxyFit(
         tilde_beta=float(coef_t[1]),

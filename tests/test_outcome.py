@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
-import mtsens.factor
 import mtsens.outcome
 from mtsens import (
     BinaryOutcome,
@@ -23,6 +22,7 @@ from mtsens import (
     SeparationError,
     SingularFitError,
     TreatmentMatrix,
+    benchmark_table,
     conditional_cdf_quantile,
     fit_empirical,
     fit_linear,
@@ -32,10 +32,11 @@ from mtsens import (
     gen_linear_gaussian,
     load_outcome,
     naive_closed_form,
+    partial_r2_treatment,
     save_outcome,
     SimTruth,
 )
-from mtsens._linalg import certified_gram, certified_lstsq
+from mtsens._linalg import _moments, certified_gram, gram_lstsq
 from mtsens.outcome import _probit_mle
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
@@ -703,10 +704,11 @@ def _gram_designs(draw):
 
 
 def _check_gram_fit(x, y, fit):
-    """The checks on a certified_lstsq fit of y on x: r'r = x'x, the pivoted
-    QR's rank rule finds full rank, and b matches an unpivoted QR solve."""
+    """The checks on a gram_lstsq fit of y on x = [1, t]: r'r = x'x, the
+    pivoted QR's rank rule finds full rank, and b matches an unpivoted QR
+    solve."""
     n, p = x.shape
-    b, r = fit
+    b, r = fit.beta, fit.r
     np.testing.assert_allclose(r.T @ r, x.T @ x, rtol=1e-12, atol=1e-12 * np.abs(x.T @ x).max())
     assert _rank_check_names(x, [str(j) for j in range(p)]) == []
     # per unit-norm column, against an unpivoted QR solve
@@ -721,23 +723,24 @@ def _check_gram_fit(x, y, fit):
 @example(_gram_design(40, 6, 7.5, 0.0, 0.0, 1))
 @example(_gram_design(200, 8, 6.0, 0.5, 1e-12, 2))
 def test_certified_gram_fit_matches_qr(design):
-    x, y = design
-    fit = certified_lstsq(x, y)
+    t, y = design
+    fit = gram_lstsq(t, y)
     if fit is not None:
-        _check_gram_fit(x, y, fit)
+        _check_gram_fit(np.column_stack([np.ones(t.shape[0]), t]), y, fit)
 
 
-# The unscaled x'x has rcond 7e-10 and 2e-15 here, below sqrt(eps) and below
-# 20 p max(n, p) eps (1.8e-8 in the first row, p max(n, p) = 4e6): either
-# rule on the rcond of x'x itself would refuse these designs, which are well
-# conditioned once their columns are scaled.
+# The unscaled centered Gram has rcond 7e-10 and 2e-15 here, below sqrt(eps)
+# and below 20 p max(n, p) eps (1.8e-8 in the first row, p max(n, p) = 4.2e6
+# with the intercept): either rule on the rcond of the Gram itself would
+# refuse these designs, which are well conditioned once their columns are
+# scaled.
 @pytest.mark.parametrize("n, p, log_kappa, spread", [(200_000, 20, 2.0, 4.0), (300, 5, 4.0, 6.0)])
 def test_column_scales_and_long_designs_keep_the_certificate(n, p, log_kappa, spread):
-    x, y = _gram_design(n, p, log_kappa, 0.0, 1.0, 3)
-    x *= np.logspace(-spread / 2, spread / 2, p)
-    fit = certified_lstsq(x, y)
+    t, y = _gram_design(n, p, log_kappa, 0.0, 1.0, 3)
+    t *= np.logspace(-spread / 2, spread / 2, p)
+    fit = gram_lstsq(t, y)
     assert fit is not None
-    _check_gram_fit(x, y, fit)
+    _check_gram_fit(np.column_stack([np.ones(n), t]), y, fit)
 
 
 def _gwas_design(n, k):
@@ -749,7 +752,8 @@ def _raw_unit_design(mean, sd):
     """Continuous treatments in raw units, T ~ N(mean, sd), n = 1000, k = 3.
     [1, T, T^2] has kappa(x'x) from 5e8 to 5e16 at the means and sds of
     test_well_conditioned_designs_take_one_cholesky_and_no_qr, and below 1e6
-    once its columns are scaled."""
+    once its columns are scaled, except at (100, 1), where it stays 3e9. The
+    centered Gram of [T, T^2] at unit-norm columns has kappa at most 1e5."""
     rng = np.random.default_rng(5)
     t = rng.normal(mean, sd, size=(1000, 3))
     return TreatmentMatrix(t), (t - mean) @ np.array([1.0, -0.5, 0.2]) / sd + rng.normal(size=1000)
@@ -781,7 +785,7 @@ def _count_solver_calls(monkeypatch) -> dict:
     (_gwas_design, (2500, 500)), (_gwas_design, (2000, 200)), (_gwas_design, (1000, 100)),
     (_gwas_design, (500, 20)), (_raw_unit_design, (100.0, 30.0)),
     (_raw_unit_design, (100.0, 10.0)), (_raw_unit_design, (10.0, 1.0)),
-    (_raw_unit_design, (1000.0, 100.0)),
+    (_raw_unit_design, (1000.0, 100.0)), (_raw_unit_design, (100.0, 1.0)),
 ])
 def test_well_conditioned_designs_take_one_cholesky_and_no_qr(monkeypatch, make, args):
     tm, y = make(*args)
@@ -803,6 +807,11 @@ def test_raw_unit_treatments_take_the_centered_cholesky(monkeypatch, mean, sd):
     calls = _count_solver_calls(monkeypatch)
     out = fit_linear(tm, y)
     assert calls == {"dpotrf": 1, "qr_multiply": 0, "lstsq": 0}
+    # the calibration table fits once, partial R2 twice
+    benchmark_table(tm, y)
+    assert calls == {"dpotrf": 2, "qr_multiply": 0, "lstsq": 0}
+    partial_r2_treatment(tm, y, 0)
+    assert calls == {"dpotrf": 4, "qr_multiply": 0, "lstsq": 0}
     # per unit-norm column, against a pivoted QR solve
     x = np.column_stack([np.ones(tm.n), tm.data])
     norms = np.linalg.norm(x, axis=0)
@@ -814,15 +823,40 @@ def test_raw_unit_treatments_take_the_centered_cholesky(monkeypatch, mean, sd):
     _assert_within_lstsq_bound(xs, y, got, ref)
 
 
+# Partial R2 does not change when a column is shifted, so the table and
+# partial R2 of treatments far from the origin (a mean up to 1e8 sd) are
+# those of the same treatments centered.
+@pytest.mark.parametrize("mean", [1e2, 1e4, 1e6, 1e8, np.array([1e8, -1e4, 0.0])])
+def test_table_and_partial_r2_are_shift_invariant(mean):
+    tm, y = _raw_unit_design(mean, 1.0)
+    centered = TreatmentMatrix(tm.data - mean)
+    np.testing.assert_allclose([v for _, v in benchmark_table(tm, y)],
+                               [v for _, v in benchmark_table(centered, y)], rtol=0, atol=1e-6)
+    for j in range(tm.k):
+        assert partial_r2_treatment(tm, y, j) == pytest.approx(
+            partial_r2_treatment(centered, y, j), abs=1e-6)
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_empirical])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_a_non_finite_outcome(fit, bad):
+    rng = np.random.default_rng(2)
+    t = rng.normal(size=(50, 3))
+    y = t.sum(axis=1) + rng.normal(size=50)
+    y[7] = bad
+    with pytest.raises(InputFormatError, match="y contains non-finite entries"):
+        fit(TreatmentMatrix(t), y)
+
+
 def test_certified_gram_refuses_a_zero_column_before_factoring(monkeypatch):
     # a constant column whose mean is exact centers to zeros: the
     # equilibration would divide by zero, so no factorization is tried
     t = np.random.default_rng(3).normal(size=(40, 3))
     t[:, 1] = 1.0
-    means, cov = mtsens.factor._moments(TreatmentMatrix(t))
+    means, cov = _moments(t)
     assert cov[1, 1] == 0.0
     calls = _count_solver_calls(monkeypatch)
-    assert certified_gram(cov, 40, intercept=True) is None
+    assert certified_gram(cov, 40) is None
     assert calls["dpotrf"] == 0
 
 
