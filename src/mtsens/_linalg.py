@@ -6,17 +6,18 @@ RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
 and, through PsdRoots.leaves_row_space, on when a vector escapes its row
 space. Every least-squares fit regresses on a design with an intercept,
 [1, t], and takes one path, lstsq: the centered Gram t_c't_c / n of
-_moments (the matrix the factor model factors too), factored and certified
-by certified_gram, by dpocon estimates on the equilibrated Gram (rcond >
-sqrt(eps) for accuracy, and the condition rule of _full_rank on its square
-root, since kappa(x'x) = kappa(x)^2, for the verdict), plus one refinement
-step; without the certificate, one pivoted QR of [1, t] with one rank rule
-(|R_ii| > max|R_ii| * max(n, p) * eps) decides. fit_linear, fit_proxy
-(through full_rank_lstsq, which names the dependent columns),
-benchmark_table and partial_r2_treatment call lstsq; fit_empirical calls
-its certified step, gram_lstsq, else an SVD for the minimum-norm
-solution. The probit Newton step solves its Hessian by
-certified_cholesky_solve, under the same _full_rank rule.
+_moments (the matrix the factor model factors too, which a TreatmentMatrix
+caches and hands over as moments), certified by certified_gram, by dpocon
+estimates on the equilibrated Gram (rcond > sqrt(eps) for accuracy, and
+the condition rule of _full_rank on its square root, since kappa(x'x) =
+kappa(x)^2, for the verdict), plus one refinement step; without the
+certificate, one pivoted QR of [1, t] with one rank rule (|R_ii| >
+max|R_ii| * max(n, p) * eps) decides. fit_linear, fit_proxy (through
+full_rank_lstsq, which names the dependent columns), benchmark_table and
+partial_r2_treatment call lstsq; fit_empirical calls its certified step,
+gram_lstsq, else an SVD for the minimum-norm solution. The probit Newton
+step solves its Hessian by certified_cholesky_solve, under the same
+_full_rank rule.
 """
 from __future__ import annotations
 
@@ -222,7 +223,7 @@ def _moments(t: np.ndarray):
 
 def gram_lstsq(t: np.ndarray, y: np.ndarray, moments=None) -> LstsqFit | None:
     """The least-squares fit of y on [1, t] from the column means of t and
-    cov = t_c't_c / n, t_c = t - means (moments, when the caller has them),
+    cov = t_c't_c / n, t_c = t - means (moments, a TreatmentMatrix's cache),
     when certified_gram certifies cov for the design [1, t_c]; None
     otherwise (n <= k, or no columns, included). The slopes b solve
     cov b = t_c'(y - mean(y)) / n by dpotrs and take one refinement step,

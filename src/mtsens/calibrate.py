@@ -47,9 +47,9 @@ def _outcome(treatments: TreatmentMatrix, y):
     return y, tss
 
 
-def _fit_rss(t: np.ndarray, y: np.ndarray):
+def _fit_rss(t: np.ndarray, y: np.ndarray, moments=None):
     """The lstsq fit of y on [1, t] and its residual sum of squares."""
-    fit = lstsq(t, y)
+    fit = lstsq(t, y, moments)
     resid = y - fit.beta[0] - t @ fit.beta[1:]
     return fit, float(resid @ resid)
 
@@ -76,7 +76,7 @@ def partial_r2_treatment(treatments: TreatmentMatrix, y, j) -> float:
     """
     rest = _rest_columns(treatments.k, j)
     y, tss = _outcome(treatments, y)
-    rss_full = _fit_rss(treatments.data, y)[1]
+    rss_full = _fit_rss(treatments.data, y, treatments.moments)[1]
     rss_rest = _fit_rss(treatments.data[:, rest], y)[1]
     if rss_rest < 1e-12 * tss:
         raise CalibrationError(EXACT_RESTRICTED_FIT)
@@ -145,7 +145,7 @@ def benchmark_table(
     ||x_i|| > max(n, p) eps kappa with W = R11^{-1} R12 and kappa the
     condition number of the basis at unit column norms: dropping either
     leaves the span of X unchanged. Feeds the calibrate CLI's TSV output."""
-    from scipy.linalg import solve_triangular  # imported on use: a slow import
+    from scipy.linalg import lapack  # imported on use: a slow import
 
     names = list(names) if names is not None else treatments.names()
     if len(names) != treatments.k:
@@ -153,9 +153,9 @@ def benchmark_table(
     y, tss = _outcome(treatments, y)
     t = treatments.data
     n, p = t.shape[0], t.shape[1] + 1
-    fit, rss = _fit_rss(t, y)
+    fit, rss = _fit_rss(t, y, treatments.moments)
     rank, basis, dependent = fit.rank, fit.piv[:fit.rank], fit.piv[fit.rank:]
-    r_inv = solve_triangular(fit.r[:rank, :rank], np.eye(rank))
+    r_inv = lapack.dtrtri(fit.r[:rank, :rank])[0]
     v_diag = np.sum(r_inv**2, axis=1)
     drop = np.zeros(p)
     drop[basis] = fit.beta[basis] ** 2 / v_diag

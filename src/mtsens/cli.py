@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._linalg import _moments, as_vector
+from ._linalg import as_vector
 from .bounds import _check_r2, ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
 from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
@@ -30,7 +30,6 @@ from .factor import (
     Table,
     TreatmentMatrix,
     _distinct_reprs,
-    _select_dim,
     _write_json,
     _write_text,
     conditional_confounder,
@@ -38,10 +37,12 @@ from .factor import (
     load_confounder,
     save_confounder,
     save_factor_model,
+    select_dim,
 )
 from .mcc import build_bank_unitwise, mcc_minimize, mcc_report
 from .outcome import (
     BinaryOutcome,
+    EmpiricalOutcome,
     GaussianOutcome,
     fit_empirical,
     fit_linear,
@@ -231,6 +232,9 @@ def _parse_contrasts(args, k: int) -> list[tuple[str, Contrast]]:
 def _load_models(models_dir: str):
     cc = load_confounder(os.path.join(models_dir, "confounder.json"))
     outcome = load_outcome(os.path.join(models_dir, "outcome.json"))
+    k = outcome.mean_fn.coef.shape[0] if isinstance(outcome, EmpiricalOutcome) else outcome.k
+    if k != cc.k:
+        raise DimensionError(f"the outcome model has k = {k}, the confounder k = {cc.k}")
     return cc, outcome
 
 
@@ -254,14 +258,11 @@ def cmd_fit(args, prov: dict) -> int:
     names, data = _read_table(args.treatments)
     y, t_data, t_names = _split_outcome(names, data, args.outcome)
     tm = TreatmentMatrix(t_data, column_names=t_names)
-    # one centered Gram for the dimension choice, the factor model and the
-    # linear fit
-    moments = _moments(tm.data)
-    m = args.m if args.m is not None else _select_dim(tm, moments[1], args.select_dim)
-    fm = fit_ppca(tm, m, moments=moments)
+    m = args.m if args.m is not None else select_dim(tm, args.select_dim)
+    fm = fit_ppca(tm, m)
     cc = conditional_confounder(fm)
     if args.outcome_kind == "gaussian":
-        outcome = fit_linear(tm, y, moments=moments)
+        outcome = fit_linear(tm, y)
         extra = f"sigma2_y_given_t = {outcome.sigma2_y_given_t:.6g}"
     elif args.outcome_kind == "probit":
         outcome = fit_probit(tm, y)
@@ -370,9 +371,7 @@ def cmd_mcc(args, prov: dict) -> int:
         if len(names) != cc.k:
             raise DimensionError("treatments and confounder dimensions disagree")
         bank = replace(bank, ids=tuple(names))
-    result = mcc_minimize(
-        bank, norm=args.norm, r2_cap=args.r2_cap, seed=args.seed
-    )
+    result = mcc_minimize(bank, norm=args.norm, r2_cap=args.r2_cap)
     rows = mcc_report(bank, result.gamma_star)
     os.makedirs(args.out_dir, exist_ok=True)
     tsv_path = os.path.join(args.out_dir, "mcc_report.tsv")
@@ -606,9 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", default=None, help="outcome column to drop from CSV")
     p.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
     p.add_argument("--r2-cap", type=float, default=1.0)
-    p.add_argument(
-        "--seed", type=int, default=0, help="recorded only; every norm's solve is deterministic"
-    )
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_mcc)
 

@@ -13,6 +13,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .errors import DegenerateModelError, DimensionError, InputFormatError
 
 @dataclass(frozen=True)
 class TreatmentMatrix:
-    """Observed treatments: rows are units, columns are treatment variables."""
+    """Observed treatments: rows are units, columns are treatment variables.
+    data is a read-only view of the array passed in, which stays writeable;
+    the panel must not change after construction, as moments caches it."""
 
     data: np.ndarray
     column_names: list[str] | None = None
@@ -43,7 +46,17 @@ class TreatmentMatrix:
             raise DimensionError(
                 f"{len(self.column_names)} column names for {k} columns"
             )
+        data = data.view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column means and covariance (divisor n) of data, computed once and
+        read-only: the factor model, select_dim and the [1, T] fits read them."""
+        means, cov = _moments(self.data)
+        means.flags.writeable = cov.flags.writeable = False
+        return means, cov
 
     @property
     def n(self) -> int:
@@ -248,13 +261,10 @@ def ppca_from_covariance(cov: np.ndarray, m: int, treatment_means=None) -> Facto
     )
 
 
-def fit_ppca(treatments: TreatmentMatrix, m: int, *, moments=None) -> FactorModel:
-    """Maximum-likelihood factor model for the observed treatments.
-
-    Columns are centered internally; the removed means are stored on the
-    returned model so downstream code can keep working with raw t vectors.
-    moments are the _moments of the treatments' data, when the caller has
-    them.
+def fit_ppca(treatments: TreatmentMatrix, m: int) -> FactorModel:
+    """Maximum-likelihood factor model for the observed treatments, from
+    their cached moments. The column means are stored on the returned model
+    so downstream code can keep working with raw t vectors.
     """
     n, k = treatments.n, treatments.k
     if n <= k:
@@ -262,7 +272,7 @@ def fit_ppca(treatments: TreatmentMatrix, m: int, *, moments=None) -> FactorMode
             f"n={n} <= k={k}: factor model estimates will be unstable",
             stacklevel=2,
         )
-    means, cov = _moments(treatments.data) if moments is None else moments
+    means, cov = treatments.moments
     return ppca_from_covariance(cov, m, treatment_means=means)
 
 
@@ -277,15 +287,9 @@ def select_dim(treatments: TreatmentMatrix, method: str = "eigen_gap") -> int:
     thresholded binary treatments, whose covariance is arcsin(corr(T*))/(2 pi)
     of the latent T*, these exceed the latent factors.
     """
-    return _select_dim(treatments, _moments(treatments.data)[1], method)
-
-
-def _select_dim(treatments: TreatmentMatrix, cov, method: str) -> int:
-    """select_dim from the treatments' covariance."""
-    k = treatments.k
-    if k < 3:
+    if treatments.k < 3:
         raise DimensionError("dimension selection needs at least 3 treatment columns")
-    lam = np.linalg.eigvalsh(cov)[::-1]
+    lam = np.linalg.eigvalsh(treatments.moments[1])[::-1]
     if lam[0] - lam[-1] <= 1e-9 * max(abs(lam[0]), 1.0):
         raise DegenerateModelError(
             "treatment spectrum is flat: no factor structure to select"

@@ -489,7 +489,6 @@ def mcc_minimize(
     r2_cap: float = 1.0,
     tol: float | None = None,
     max_iter: int = 50000,
-    seed: int = 0,
 ) -> MccResult:
     """Minimize ||naive - sigma_{y|t} deltas gamma||_p over
     gamma' Sigma gamma <= r2_cap.
@@ -502,8 +501,8 @@ def mcc_minimize(
     1e-9); the result carries that gap, and n_iter counts Newton steps.
     ConvergenceError, with the best feasible whitened iterate attached, if
     max_iter Newton steps do not close the gap. Every norm is solved
-    deterministically: seed is accepted for compatibility and affects
-    nothing. An unknown norm raises InputFormatError (a ValueError).
+    deterministically. An unknown norm raises InputFormatError (a
+    ValueError).
     """
     norm = norm.lower()
     if norm not in NORMS:

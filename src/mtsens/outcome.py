@@ -30,7 +30,7 @@ class GaussianOutcome:
     def __post_init__(self):
         if self.sigma2_y_given_t <= 0:
             raise DegenerateModelError("sigma2_y_given_t must be positive")
-        object.__setattr__(self, "tau_naive", np.asarray(self.tau_naive, dtype=float))
+        object.__setattr__(self, "tau_naive", as_vector(self.tau_naive, "tau_naive"))
 
     @property
     def k(self) -> int:
@@ -55,7 +55,7 @@ class BinaryOutcome:
     def __post_init__(self):
         if not (0.0 < self.p_y1 < 1.0):
             raise DegenerateModelError("p_y1 must lie strictly inside (0,1)")
-        object.__setattr__(self, "probit_coef", np.asarray(self.probit_coef, dtype=float))
+        object.__setattr__(self, "probit_coef", as_vector(self.probit_coef, "probit_coef"))
 
     @property
     def k(self) -> int:
@@ -82,7 +82,7 @@ class EmpiricalOutcome:
     sigma2_y_given_t: float
 
     def __post_init__(self):
-        resid = np.sort(np.asarray(self.residual_quantiles, dtype=float))
+        resid = np.sort(as_vector(self.residual_quantiles, "residual_quantiles"))
         if resid.size == 0:
             raise DegenerateModelError("residual sample is empty")
         if self.sigma2_y_given_t <= 0:
@@ -121,13 +121,13 @@ class PolynomialMeanFn:
         return float(out[0]) if single else out
 
 
-def fit_linear(treatments: TreatmentMatrix, y, *, moments=None) -> GaussianOutcome:
+def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
     """Ordinary least squares of y on the treatments, with intercept, by
     full_rank_lstsq on [1, T]: the slopes from the centered Gram matrix that
-    fit_ppca factors too, n times the covariance of _moments (passed as
-    moments when the caller has them), by a certified Cholesky solve and one
-    refinement step, else a pivoted QR, whose SingularFitError names the
-    dependent columns (a constant or duplicated column, say).
+    fit_ppca factors too, n times the treatments' cached covariance, by a
+    certified Cholesky solve and one refinement step, else a pivoted QR,
+    whose SingularFitError names the dependent columns (a constant or
+    duplicated column, say).
     """
     y = as_vector(y, "y")
     n, k = treatments.n, treatments.k
@@ -136,7 +136,7 @@ def fit_linear(treatments: TreatmentMatrix, y, *, moments=None) -> GaussianOutco
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
     t = treatments.data
-    beta = full_rank_lstsq(t, y, treatments.names(), moments)
+    beta = full_rank_lstsq(t, y, treatments.names(), treatments.moments)
     intercept, tau = float(beta[0]), beta[1:]
     resid = y - intercept - t @ tau
     sigma2 = float(resid @ resid) / (n - k - 1)
@@ -273,7 +273,7 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
         distinct = [pw[:, ~c] for pw, c in zip(powers, dup) if not c.all()]
         # 0/1 treatments have no distinct power, and t is not copied
         cols = np.hstack([t] + distinct) if distinct else t
-        fit = gram_lstsq(cols, y)
+        fit = gram_lstsq(cols, y, None if distinct else treatments.moments)
         if fit is not None:
             beta = fit.beta
             # every solution has the same sum over the copies of t_j; the
@@ -433,7 +433,7 @@ def load_outcome(path):
             fn = PolynomialMeanFn(
                 degree=int(mean["degree"]),
                 intercept=float(mean["intercept"]),
-                coef=np.asarray(mean["coef"], dtype=float),
+                coef=as_vector(mean["coef"], "coef").reshape(-1, int(mean["degree"])),
             )
             return EmpiricalOutcome(
                 mean_fn=fn,

@@ -786,6 +786,42 @@ def test_unknown_outcome_kind_exit_2(linear_models, tmp_path, capsys):
     assert "unknown outcome kind 'lognormal'" in payload["message"]
 
 
+def _empirical(coef):
+    return {"kind": "empirical", "residual_quantiles": [-1.0, 0.0, 1.0],
+            "sigma2_y_given_t": 1.0,
+            "mean": {"type": "polynomial", "degree": 2, "intercept": 0.0, "coef": coef}}
+
+
+@pytest.mark.parametrize(
+    "outcome, error",
+    [
+        ({"tau_naive": [1.0]}, "DimensionError"),
+        ({"tau_naive": None}, "InputFormatError"),
+        ({"tau_naive": [None, 1.0, 1.0, 1.0]}, "InputFormatError"),
+        (_empirical([[1.0, 0.5]]), "DimensionError"),
+        (_empirical([[None, 0.5]] + [[1.0, 0.5]] * 3), "InputFormatError"),
+    ],
+    ids=["short", "null", "null-entry", "empirical-k1", "empirical-null-coef"],
+)
+@pytest.mark.parametrize("command", ["rv", "bounds", "mcc"])
+def test_malformed_outcome_file_exit_2(linear_models, tmp_path, capsys, outcome, error,
+                                       command):
+    # an outcome whose vector is too short, null or holds a null, or whose
+    # polynomial mean has the wrong k or a null coefficient, checked once on
+    # load for every command
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "confounder.json").write_text(
+        (linear_models["models"] / "confounder.json").read_text())
+    doc = json.loads((linear_models["models"] / "outcome.json").read_text())
+    (models / "outcome.json").write_text(json.dumps({**doc, **outcome}))
+    argv = [command, "--models", str(models)]
+    argv += ["--out-dir", str(tmp_path / "mcc")] if command == "mcc" else ["--contrast", "e1"]
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2, err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate", "rv"])
 def test_invalid_utf8_exit_2_names_the_file(linear_models, tmp_path, capsys, command):
     # bytes that are not UTF-8 in a data row, in a header and in a model file

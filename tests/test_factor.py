@@ -14,8 +14,12 @@ from mtsens import (
     FactorModel,
     InputFormatError,
     TreatmentMatrix,
+    benchmark_table,
     conditional_confounder,
+    fit_empirical,
+    fit_linear,
     fit_ppca,
+    gen_gwas,
     load_confounder,
     load_factor_model,
     mu_delta,
@@ -24,7 +28,7 @@ from mtsens import (
     save_factor_model,
     select_dim,
 )
-from mtsens._linalg import psd_roots
+from mtsens._linalg import _moments, psd_roots
 from mtsens.factor import _fold_scores, _holdout_scores
 
 B_K4 = np.array([[2.0], [0.5], [-0.4], [0.2]])
@@ -166,6 +170,42 @@ def test_partial_spectrum_ppca_keeps_degenerate_verdict(cov, m, degenerate):
     fm = ppca_from_covariance(cov, m)
     assert fm.sigma2_t_given_u == pytest.approx(ref[1], rel=1e-10)
     assert np.abs(fm.b_hat) == pytest.approx(np.abs(ref[0]), rel=1e-10)
+
+
+def test_treatment_data_is_a_read_only_view():
+    arr = np.random.default_rng(0).normal(size=(20, 3))
+    tm = TreatmentMatrix(arr)
+    with pytest.raises(ValueError, match="read-only"):
+        tm.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        tm.moments[1][0, 0] = 1.0
+    arr[0, 0] = 5.0
+    assert tm.data[0, 0] == 5.0
+
+
+def test_one_panel_forms_its_centered_gram_once(monkeypatch):
+    # select_dim, the factor model, the linear and polynomial fits on 0/1
+    # treatments and the calibration table all read the panel's moments
+    import mtsens._linalg
+    import mtsens.factor
+
+    calls = []
+
+    def counting(t):
+        calls.append(t.shape)
+        return _moments(t)
+
+    monkeypatch.setattr(mtsens._linalg, "_moments", counting)
+    monkeypatch.setattr(mtsens.factor, "_moments", counting)
+    sim = gen_gwas(n=400, k=20, m=2, seed=4)
+    tm, y = sim.treatments, sim.y
+    assert set(np.unique(tm.data)) == {0.0, 1.0}
+    m = select_dim(tm)
+    fit_ppca(tm, m)
+    fit_linear(tm, y)
+    fit_empirical(tm, y)
+    benchmark_table(tm, y)
+    assert calls == [(400, 20)]
 
 
 def test_select_dim_eigen_gap_one_factor():
