@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InputFormatError, SingularFitError
+from .errors import DegenerateModelError, DimensionError, InputFormatError, SingularFitError
 
 # Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
@@ -39,12 +39,28 @@ OUT_OF_ROW_SPACE_RTOL = 1e-8
 _BLOCK_ENTRIES = 2**15
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
+def as_vector(x, name: str = "vector", ndim: int = 1) -> np.ndarray:
+    """x as a float array (x itself when it is one) with finite entries,
+    else InputFormatError. ndim=1 flattens any shape; any other ndim must
+    be the number of axes of x, else DimensionError."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
+    if v.ndim != ndim:
+        if ndim != 1:
+            raise DimensionError(f"{name} must have {ndim} axes, got shape {v.shape}")
         v = v.reshape(-1)
     if not np.isfinite(v).all():
         raise InputFormatError(f"{name} contains non-finite entries")
+    return v
+
+
+def as_scalar(x, name: str, positive: bool = False) -> float:
+    """x as a finite float, else InputFormatError; a positive one when
+    positive is set, else DegenerateModelError."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise InputFormatError(f"{name} is not finite")
+    if positive and v <= 0:
+        raise DegenerateModelError(f"{name} must be positive")
     return v
 
 

@@ -464,10 +464,8 @@ def cmd_proxy(args, prov: dict) -> int:
         },
     }
     if args.sigma_u2 is not None:
-        payload["adjusted"] = [
-            {"sigma_u2": v, "tau": tau_adjusted(fit, v)}
-            for v in _parse_r2_list(args.sigma_u2)
-        ]
+        grid = _parse_r2_list(args.sigma_u2)
+        payload["adjusted"] = Table(sigma_u2=grid, tau=[tau_adjusted(fit, v) for v in grid])
     _write_json(payload, args.out, prov)
     return 0
 

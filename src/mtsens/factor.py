@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (PsdRoots, _moments, as_vector, eigh_desc, fix_column_signs, psd_roots,
-                      symmetrize)
+from ._linalg import (PsdRoots, _moments, as_scalar, as_vector, eigh_desc, fix_column_signs,
+                      psd_roots, symmetrize)
 from .errors import DegenerateModelError, DimensionError, InputFormatError
 
 
@@ -32,16 +32,12 @@ class TreatmentMatrix:
     column_names: list[str] | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise DimensionError(f"treatment data must be 2-d, got shape {data.shape}")
+        data = as_vector(self.data, "treatment data", ndim=2)
         n, k = data.shape
         if n < 2:
             raise DimensionError(f"need at least 2 rows of treatments, got {n}")
         if k < 1:
             raise DimensionError("need at least 1 treatment column")
-        if not np.all(np.isfinite(data)):
-            raise InputFormatError("treatment data contains non-finite entries")
         if self.column_names is not None and len(self.column_names) != k:
             raise DimensionError(
                 f"{len(self.column_names)} column names for {k} columns"
@@ -92,9 +88,7 @@ class FactorModel:
     covariance_eigvals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.b_hat, dtype=float)
-        if b.ndim != 2:
-            raise DimensionError("b_hat must be a k x m matrix")
+        b = as_vector(self.b_hat, "b_hat", ndim=2)
         k, m = b.shape
         if not (1 <= self.m < k):
             raise DimensionError(
@@ -103,14 +97,15 @@ class FactorModel:
             )
         if m != self.m:
             raise DimensionError(f"b_hat has {m} columns but m={self.m}")
-        if self.sigma2_t_given_u <= 0:
-            raise DegenerateModelError("sigma2_t_given_u must be positive")
+        sigma2 = as_scalar(self.sigma2_t_given_u, "sigma2_t_given_u", positive=True)
         means = self.treatment_means
         means = np.zeros(k) if means is None else as_vector(means, "treatment_means")
         if means.shape[0] != k:
             raise DimensionError("treatment_means length must equal k")
         object.__setattr__(self, "b_hat", b)
-        object.__setattr__(self, "singular_values", np.asarray(self.singular_values, dtype=float))
+        object.__setattr__(self, "sigma2_t_given_u", sigma2)
+        object.__setattr__(self, "singular_values",
+                           as_vector(self.singular_values, "singular_values"))
         object.__setattr__(self, "treatment_means", means)
 
     @property
@@ -129,7 +124,9 @@ class ConditionalConfounder:
     sigma_u_given_t is factorized once, on construction: roots holds its
     eigenvalues, root, pseudo-inverse root and null-space basis (see
     psd_roots), and every downstream computation reads them from there.
-    rank is the numerical rank of that factorization.
+    rank is the numerical rank of that factorization. Every entry must be
+    finite, and sigma_u_given_t symmetric within 1e-10 of its largest entry
+    with no eigenvalue below -1e-12 max(that entry, 1).
     """
 
     coef: np.ndarray
@@ -138,17 +135,15 @@ class ConditionalConfounder:
     roots: PsdRoots = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coef = np.asarray(self.coef, dtype=float)
-        if coef.ndim != 2:
-            raise DimensionError("coef must be an m x k matrix")
+        coef = as_vector(self.coef, "coef", ndim=2)
         m, k = coef.shape
-        sigma = np.asarray(self.sigma_u_given_t, dtype=float)
+        sigma = as_vector(self.sigma_u_given_t, "sigma_u_given_t", ndim=2)
         if sigma.shape != (m, m):
             raise DimensionError(
                 f"sigma_u_given_t has shape {sigma.shape}, expected ({m}, {m})"
             )
         scale = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-        if scale > 0 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * scale:
+        if scale > 0 and np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
             raise DegenerateModelError("sigma_u_given_t is not symmetric within tolerance")
         sigma = symmetrize(sigma)
         roots = psd_roots(sigma)
@@ -345,8 +340,6 @@ def conditional_confounder(fm: FactorModel) -> ConditionalConfounder:
     Uses the m x m solve (B'B + sigma2 I)^{-1} B' rather than inverting the
     k x k treatment covariance, so large treatment counts stay cheap.
     """
-    if fm.sigma2_t_given_u <= 0:
-        raise DegenerateModelError("sigma2_t_given_u must be positive")
     b = fm.b_hat
     m = fm.m
     gram = b.T @ b + fm.sigma2_t_given_u * np.eye(m)
@@ -424,14 +417,6 @@ def _column_text(col) -> list[str]:
     return [_encode(_finite_or_null(v)) for v in col]
 
 
-def _records_table(records) -> Table:
-    """A list of records with the same keys in the same order, as columns."""
-    names = list(records[0])
-    if any(type(rec) is not dict or list(rec) != names for rec in records):
-        raise InputFormatError("the records of a table need the same keys in the same order")
-    return Table({name: [rec[name] for rec in records] for name in names})
-
-
 def _table_lines(table: Table) -> list[str]:
     """One JSON record per row of table: the columns' texts substituted into
     one template of the keys."""
@@ -445,13 +430,11 @@ def _table_lines(table: Table) -> list[str]:
 
 
 def _json_text(value) -> str:
-    """The JSON text of one top-level value. A Table (a list of records is
-    turned into one), a list of rows or a 2-d float array gets a record or
-    row per line; a 1-d float array goes onto one line, and anything else
-    through _finite_or_null. Float arrays are formatted by _distinct_reprs,
-    as the walk would format their .tolist()."""
-    if type(value) in (list, tuple) and value and type(value[0]) is dict:
-        value = _records_table(value)
+    """The JSON text of one top-level value. A Table, a list of rows or of
+    records, or a 2-d float array gets a record or row per line; a 1-d float
+    array goes onto one line. Anything but a Table or a float array goes
+    through _finite_or_null, and float arrays are formatted by
+    _distinct_reprs, as the walk would format their .tolist()."""
     if isinstance(value, Table):
         lines = _table_lines(value)
     elif type(value) is np.ndarray and value.dtype.kind == "f" and value.ndim in (1, 2):
@@ -461,7 +444,7 @@ def _json_text(value) -> str:
         lines = ["[" + ", ".join(row) + "]" for row in text]
     else:
         value = _finite_or_null(value)
-        if not (type(value) is list and value and type(value[0]) is list):
+        if not (type(value) is list and value and type(value[0]) in (list, dict)):
             return _encode(value)
         lines = list(map(_encode, value))
     return "[\n" + ",\n".join(lines) + "\n]" if lines else "[]"
@@ -505,29 +488,19 @@ def save_confounder(cc: ConditionalConfounder, path, provenance: dict | None = N
 
 
 def load_confounder(path) -> ConditionalConfounder:
-    """Read a confounder JSON file, symmetrizing and validating the covariance."""
+    """Read a confounder JSON file. ConditionalConfounder checks what it
+    holds; anything it refuses raises InputFormatError naming the file."""
     payload = _read_json(path, "confounder")
     try:
         m = int(payload["m"])
         k = int(payload["k"])
-        coef = np.asarray(payload["coef"], dtype=float).reshape(m, k)
-        sigma = np.asarray(payload["sigma_u_given_t"], dtype=float).reshape(m, m)
-        means = np.asarray(
-            payload.get("treatment_means", np.zeros(k)), dtype=float
-        ).reshape(k)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed confounder file {path}: {exc}") from exc
-    sigma = symmetrize(sigma)
-    roots = psd_roots(sigma)
-    lam_min = float(roots.eigvals.min())
-    if lam_min < -1e-8 * max(float(np.max(np.abs(roots.eigvals))), 1.0):
-        raise InputFormatError(
-            f"sigma_u_given_t in {path} is not positive semidefinite "
-            f"(eigenvalue {lam_min:.3e})"
+        return ConditionalConfounder(
+            coef=np.reshape(payload["coef"], (m, k)),
+            sigma_u_given_t=np.reshape(payload["sigma_u_given_t"], (m, m)),
+            treatment_means=payload.get("treatment_means"),
         )
-    if lam_min < 0:
-        sigma = roots.root @ roots.root
-    return ConditionalConfounder(coef=coef, sigma_u_given_t=sigma, treatment_means=means)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"malformed confounder file {path}: {exc}") from exc
 
 
 def save_factor_model(fm: FactorModel, path, provenance: dict | None = None) -> None:
@@ -543,18 +516,17 @@ def save_factor_model(fm: FactorModel, path, provenance: dict | None = None) -> 
 
 
 def load_factor_model(path) -> FactorModel:
+    """Read a factor model JSON file, checked as load_confounder's is."""
     payload = _read_json(path, "factor model")
     try:
         k = int(payload["k"])
         m = int(payload["m"])
         return FactorModel(
-            b_hat=np.asarray(payload["b_hat"], dtype=float).reshape(k, m),
-            sigma2_t_given_u=float(payload["sigma2_t_given_u"]),
+            b_hat=np.reshape(payload["b_hat"], (k, m)),
+            sigma2_t_given_u=payload["sigma2_t_given_u"],
             m=m,
-            singular_values=np.asarray(payload["singular_values"], dtype=float),
-            treatment_means=np.asarray(
-                payload.get("treatment_means", np.zeros(k)), dtype=float
-            ).reshape(k),
+            singular_values=payload["singular_values"],
+            treatment_means=payload.get("treatment_means"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed factor model file {path}: {exc}") from exc

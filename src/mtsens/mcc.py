@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import as_vector, nnls, psd_roots
+from ._linalg import as_scalar, as_vector, nnls, psd_roots
 from .copula import SensitivitySpec
 from .errors import (
     CalibrationError,
@@ -56,17 +56,14 @@ class ContrastBank:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        deltas = np.asarray(self.deltas, dtype=float)
-        if deltas.ndim != 2 or deltas.shape[0] < 1:
+        deltas = as_vector(self.deltas, "deltas", ndim=2)
+        if deltas.shape[0] < 1:
             raise DimensionError("deltas must be a K x m matrix with K >= 1")
         naive = as_vector(self.naive, "naive")
         if naive.shape[0] != deltas.shape[0]:
             raise DimensionError("naive length must match the number of contrasts")
-        if not np.all(np.isfinite(deltas)):
-            raise DimensionError("deltas must be finite")
-        if self.sigma_y_given_t <= 0:
-            raise DegenerateModelError("sigma_y_given_t must be positive")
-        sigma = np.asarray(self.sigma_u_given_t, dtype=float)
+        sigma_y = as_scalar(self.sigma_y_given_t, "sigma_y_given_t", positive=True)
+        sigma = as_vector(self.sigma_u_given_t, "sigma_u_given_t", ndim=2)
         if sigma.shape != (deltas.shape[1], deltas.shape[1]):
             raise DimensionError("sigma_u_given_t must be m x m")
         ids = self.ids
@@ -78,6 +75,7 @@ class ContrastBank:
                 raise DimensionError("ids length must match the number of contrasts")
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "naive", naive)
+        object.__setattr__(self, "sigma_y_given_t", sigma_y)
         object.__setattr__(self, "sigma_u_given_t", sigma)
         object.__setattr__(self, "ids", ids)
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import as_vector, certified_cholesky_solve, full_rank_lstsq, gram_lstsq
+from ._linalg import (as_scalar, as_vector, certified_cholesky_solve, full_rank_lstsq,
+                      gram_lstsq)
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
 from .factor import TreatmentMatrix, _read_json, _write_json
 
@@ -28,9 +29,10 @@ class GaussianOutcome:
     sigma2_y_given_t: float
 
     def __post_init__(self):
-        if self.sigma2_y_given_t <= 0:
-            raise DegenerateModelError("sigma2_y_given_t must be positive")
         object.__setattr__(self, "tau_naive", as_vector(self.tau_naive, "tau_naive"))
+        object.__setattr__(self, "intercept", as_scalar(self.intercept, "intercept"))
+        object.__setattr__(self, "sigma2_y_given_t",
+                           as_scalar(self.sigma2_y_given_t, "sigma2_y_given_t", positive=True))
 
     @property
     def k(self) -> int:
@@ -53,9 +55,12 @@ class BinaryOutcome:
     p_y1: float
 
     def __post_init__(self):
+        object.__setattr__(self, "p_y1", as_scalar(self.p_y1, "p_y1"))
         if not (0.0 < self.p_y1 < 1.0):
             raise DegenerateModelError("p_y1 must lie strictly inside (0,1)")
         object.__setattr__(self, "probit_coef", as_vector(self.probit_coef, "probit_coef"))
+        object.__setattr__(self, "probit_intercept",
+                           as_scalar(self.probit_intercept, "probit_intercept"))
 
     @property
     def k(self) -> int:
@@ -85,9 +90,9 @@ class EmpiricalOutcome:
         resid = np.sort(as_vector(self.residual_quantiles, "residual_quantiles"))
         if resid.size == 0:
             raise DegenerateModelError("residual sample is empty")
-        if self.sigma2_y_given_t <= 0:
-            raise DegenerateModelError("sigma2_y_given_t must be positive")
         object.__setattr__(self, "residual_quantiles", resid)
+        object.__setattr__(self, "sigma2_y_given_t",
+                           as_scalar(self.sigma2_y_given_t, "sigma2_y_given_t", positive=True))
 
     def mean(self, t) -> np.ndarray | float:
         return self.mean_fn(t)
@@ -104,6 +109,12 @@ class PolynomialMeanFn:
     degree: int
     intercept: float
     coef: np.ndarray  # k x degree, column j holds coefficients of t_j^1..t_j^degree
+
+    def __post_init__(self):
+        self.intercept = as_scalar(self.intercept, "intercept")
+        self.coef = as_vector(self.coef, "coef", ndim=2)
+        if self.coef.shape[1] != self.degree:
+            raise DimensionError(f"coef has {self.coef.shape[1]} columns, degree {self.degree}")
 
     def features(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -416,32 +427,28 @@ def load_outcome(path):
         kind = payload["kind"]
         if kind == "gaussian":
             return GaussianOutcome(
-                tau_naive=np.asarray(payload["tau_naive"], dtype=float),
-                intercept=float(payload["intercept"]),
-                sigma2_y_given_t=float(payload["sigma2_y_given_t"]),
+                tau_naive=payload["tau_naive"],
+                intercept=payload["intercept"],
+                sigma2_y_given_t=payload["sigma2_y_given_t"],
             )
         if kind == "probit":
             return BinaryOutcome(
-                probit_coef=np.asarray(payload["probit_coef"], dtype=float),
-                probit_intercept=float(payload["probit_intercept"]),
-                p_y1=float(payload["p_y1"]),
+                probit_coef=payload["probit_coef"],
+                probit_intercept=payload["probit_intercept"],
+                p_y1=payload["p_y1"],
             )
         if kind == "empirical":
             mean = payload["mean"]
             if mean.get("type") != "polynomial":
                 raise InputFormatError(f"unknown mean type {mean.get('type')!r}")
-            fn = PolynomialMeanFn(
-                degree=int(mean["degree"]),
-                intercept=float(mean["intercept"]),
-                coef=as_vector(mean["coef"], "coef").reshape(-1, int(mean["degree"])),
-            )
+            degree = int(mean["degree"])
+            fn = PolynomialMeanFn(degree=degree, intercept=mean["intercept"],
+                                  coef=np.reshape(mean["coef"], (-1, degree)))
             return EmpiricalOutcome(
                 mean_fn=fn,
-                residual_quantiles=np.asarray(
-                    payload["residual_quantiles"], dtype=float
-                ),
-                sigma2_y_given_t=float(payload["sigma2_y_given_t"]),
+                residual_quantiles=payload["residual_quantiles"],
+                sigma2_y_given_t=payload["sigma2_y_given_t"],
             )
         raise InputFormatError(f"unknown outcome kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed outcome file {path}: {exc}") from exc

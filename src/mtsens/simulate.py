@@ -118,11 +118,9 @@ class SimTruth:
             return float(np.mean(ytilde > 0))
         return float(np.mean(ytilde))
 
-    def pate(self, c: Contrast, **mc_kwargs) -> float:
+    def pate(self, c: Contrast) -> float:
         """Ground-truth intervention contrast (difference scale)."""
-        return self.intervention_mean(c.t1, **mc_kwargs) - self.intervention_mean(
-            c.t2, **mc_kwargs
-        )
+        return self.intervention_mean(c.t1) - self.intervention_mean(c.t2)
 
 
 class SimData(NamedTuple):

@@ -2,6 +2,8 @@
 main() so exit codes and stdout/stderr are observable without subprocesses.
 Fresh-interpreter tests confirm the console script and which scipy modules
 an import or a command loads."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtsens
 from mtsens import (
@@ -820,6 +824,109 @@ def test_malformed_outcome_file_exit_2(linear_models, tmp_path, capsys, outcome,
     rc, _, err = _run(argv, capsys)
     assert rc == 2, err
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """Parsed model files, k = 5 and m = 2: the confounder, and a gaussian
+    and an empirical outcome."""
+    root = tmp_path_factory.mktemp("small")
+    data = mtsens.gen_gwas(n=300, k=5, m=2, frac_large=0.4, seed=1)
+    cc = mtsens.conditional_confounder(mtsens.fit_ppca(data.treatments, 2))
+    mtsens.save_confounder(cc, root / "confounder.json")
+    for kind, fit in (("gaussian", mtsens.fit_linear), ("empirical", mtsens.fit_empirical)):
+        mtsens.save_outcome(fit(data.treatments, data.y), root / f"{kind}.json")
+    return {name: json.loads((root / f"{name}.json").read_text())
+            for name in ("confounder", "gaussian", "empirical")}
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths to the numbers of a parsed model file, provenance aside."""
+    if isinstance(obj, dict):
+        items = ((key, v) for key, v in obj.items() if key != "_provenance")
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if type(obj) in (int, float) else []
+    return [leaf for key, v in items for leaf in _numeric_leaves(v, path + (key,))]
+
+
+# corruptions that the constructors must refuse, and the others
+_REFUSED = ("null", "NaN", "Infinity", "-Infinity", "1e400", "asymmetric",
+            "negative_eigenvalue")
+_OTHER = ("string", "drop", "add", "nest")
+
+
+def _corrupted_text(doc, corruption, path):
+    """The JSON text of doc with the leaf at path corrupted, or, with no
+    path, with the confounder's Sigma made asymmetric or indefinite by
+    1e-6 of its scale."""
+    doc = json.loads(json.dumps(doc))
+    if path is None:
+        sigma = np.array(doc["sigma_u_given_t"])
+        step = 1e-6 * float(np.abs(sigma).max())
+        if corruption == "asymmetric":
+            sigma[0, 1] += step
+        else:
+            sigma -= (np.linalg.eigvalsh(sigma)[0] + step) * np.eye(len(sigma))
+        doc["sigma_u_given_t"] = sigma.tolist()
+        return json.dumps(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if corruption == "drop":
+        del parent[last]
+    elif corruption == "add":
+        parent.insert(last, parent[last])
+    elif corruption == "nest":
+        parent[last] = [parent[last]]
+    else:
+        parent[last] = "__corrupt__"
+        token = '"x"' if corruption == "string" else corruption
+        return json.dumps(doc).replace('"__corrupt__"', token)
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_corrupted_model_files_exit_0_2_or_3(small_models, tmp_path_factory, data):
+    # one corrupted number in confounder.json or outcome.json: rv, bounds and
+    # mcc never raise, a refused file exits 2 with a JSON error, and an rv
+    # that succeeds writes finite values only
+    kind = data.draw(st.sampled_from(["gaussian", "empirical"]))
+    corruption = data.draw(st.sampled_from(_REFUSED + _OTHER))
+    sigma_level = corruption in ("asymmetric", "negative_eigenvalue")
+    target = "confounder" if sigma_level else data.draw(st.sampled_from(["confounder", kind]))
+    leaves = _numeric_leaves(small_models[target])
+    if corruption in ("drop", "add"):
+        leaves = [leaf for leaf in leaves if isinstance(leaf[-1], int)]
+    path = None if sigma_level else data.draw(st.sampled_from(leaves))
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "models").mkdir()
+    for name, fname in (("confounder", "confounder.json"), (kind, "outcome.json")):
+        doc = small_models[name]
+        text = _corrupted_text(doc, corruption, path) if name == target else json.dumps(doc)
+        (root / "models" / fname).write_text(text)
+    models = str(root / "models")
+    argvs = {
+        "rv": ["rv", "--models", models, "--contrast", "e1", "--out", str(root / "rv.json")],
+        "bounds": ["bounds", "--models", models, "--contrast", "e1", "--r2", "0.5,1"],
+        "mcc": ["mcc", "--models", models, "--out-dir", str(root / "mcc")],
+    }
+    for command, argv in argvs.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3), (command, corruption, path, err.getvalue())
+        if rc != 0:
+            payload = json.loads(err.getvalue().strip().splitlines()[-1])
+            assert set(payload) == {"error", "message"}
+        if corruption in _REFUSED:
+            assert rc == 2, (command, corruption, path)
+        if command == "rv" and rc == 0:
+            for rec in json.loads((root / "rv.json").read_text())["results"]:
+                assert math.isfinite(rec["naive"]) and math.isfinite(rec["rv"]), rec
 
 
 @pytest.mark.parametrize("command", ["fit", "calibrate", "rv"])

@@ -235,8 +235,6 @@ def test_table_writes_the_per_record_encoding(tmp_path_factory, drawn):
     [
         (Table(a=np.zeros(2), b=np.zeros(3)), DimensionError),
         (Table(a=np.zeros((2, 2))), DimensionError),
-        ([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}], InputFormatError),
-        ([{"a": 1.0}, {"a": 1.0, "b": 2.0}], InputFormatError),
     ],
 )
 def test_malformed_tables_raise(tmp_path, value, error):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtsens
 from mtsens import (
     ConditionalConfounder,
     Contrast,
@@ -511,6 +512,15 @@ def test_factor_model_round_trip(tmp_path):
     assert np.array_equal(loaded.treatment_means, fm.treatment_means)
 
 
+def test_load_factor_model_refuses_a_null_loading(tmp_path):
+    fm = FactorModel(b_hat=B_K4, sigma2_t_given_u=1.0, m=1, singular_values=np.ones(1))
+    path = tmp_path / "fm.json"
+    save_factor_model(fm, path)
+    path.write_text(path.read_text().replace("[2.0]", "[null]", 1))
+    with pytest.raises(InputFormatError, match="b_hat contains non-finite"):
+        load_factor_model(path)
+
+
 def test_conditional_confounder_direct_construction_validates():
     with pytest.raises(DimensionError):
         ConditionalConfounder(
@@ -528,3 +538,44 @@ def test_bad_inputs_raise_typed_errors():
     data = _simulate_factor_data(B_K4, 1.0, n=200, seed=2)
     with pytest.raises(InputFormatError, match="unknown method"):
         select_dim(TreatmentMatrix(data), method="bogus")
+
+
+# valid arguments of each model class; every numeric field below is set
+# non-finite in turn
+_MODEL_ARGS = {
+    "TreatmentMatrix": dict(data=np.arange(6.0).reshape(3, 2) ** 2),
+    "FactorModel": dict(b_hat=np.array([[1.0], [0.5], [0.2]]), sigma2_t_given_u=1.0, m=1,
+                        singular_values=np.array([1.2]), treatment_means=np.zeros(3)),
+    "ConditionalConfounder": dict(coef=np.array([[0.1, 0.2, 0.3]]),
+                                  sigma_u_given_t=np.array([[0.5]]),
+                                  treatment_means=np.zeros(3)),
+    "ContrastBank": dict(deltas=np.array([[0.1], [0.2]]), naive=np.array([1.0, 2.0]),
+                         sigma_y_given_t=1.0, sigma_u_given_t=np.array([[0.5]])),
+    "GaussianOutcome": dict(tau_naive=np.array([1.0, 2.0]), intercept=0.5,
+                            sigma2_y_given_t=1.0),
+    "BinaryOutcome": dict(probit_coef=np.array([0.1, 0.2]), probit_intercept=0.0, p_y1=0.4),
+    "EmpiricalOutcome": dict(mean_fn=lambda t: 0.0, residual_quantiles=np.array([-1.0, 0.0, 1.0]),
+                             sigma2_y_given_t=1.0),
+    "PolynomialMeanFn": dict(degree=2, intercept=0.5,
+                             coef=np.array([[1.0, 0.5], [0.0, -1.0]])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, field) for cls, args in _MODEL_ARGS.items() for field, v in args.items()
+     if not callable(v)],
+)
+def test_model_constructors_refuse_non_finite_fields(cls, field, bad):
+    model = getattr(mtsens, cls)
+    args = _MODEL_ARGS[cls]
+    model(**args)
+    value = args[field]
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[-1] = bad
+    else:
+        value = bad
+    with pytest.raises(mtsens.MtsensError):
+        model(**{**args, field: value})
