@@ -1,10 +1,12 @@
 """Small linear-algebra helpers used across modules.
 
-Every square root, inverse root and rank of a symmetric PSD matrix comes
-from psd_roots: one eigendecomposition and one rank rule (eigenvalues above
-RANK_RTOL * lambda_max), so all callers agree on when a matrix is singular
-and, through PsdRoots.leaves_row_space, on when a vector escapes its row
-space. Every least-squares fit regresses on a design with an intercept,
+Every confounder covariance Sigma_{u|t} is judged and factored by psd_roots
+alone: one covariance rule, one eigendecomposition and one rank rule
+(eigenvalues above RANK_RTOL * lambda_max), so all callers agree on when a
+matrix is valid, when it is singular and, through PsdRoots.leaves_row_space,
+when a vector escapes its row space.
+
+Every least-squares fit regresses on a design with an intercept,
 [1, t], and takes one path, lstsq: the centered Gram t_c't_c / n of
 _moments (the matrix the factor model factors too, which a TreatmentMatrix
 caches and hands over as moments), certified by certified_gram, by dpocon
@@ -71,14 +73,8 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def eigh_desc(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    lam, vec = np.linalg.eigh(symmetrize(a))
-    return lam[::-1], vec[:, ::-1]
-
-
 class PsdRoots(NamedTuple):
-    """Square roots of a symmetric PSD matrix from one eigendecomposition.
+    """A symmetrized PSD matrix and its square roots from one eigendecomposition.
 
     rank counts the eigenvalues above RANK_RTOL * lambda_max; their
     eigenvectors span the row space.  root is the PSD square root (negative
@@ -87,7 +83,7 @@ class PsdRoots(NamedTuple):
     orthonormal basis of that complement, shaped m x (m - rank).
     """
 
-    eigvals: np.ndarray
+    matrix: np.ndarray
     rank: int
     root: np.ndarray
     inv_root: np.ndarray
@@ -103,14 +99,25 @@ class PsdRoots(NamedTuple):
         return bool(outside > OUT_OF_ROW_SPACE_RTOL * max(np.linalg.norm(v), 1e-300))
 
 
-def psd_roots(a: np.ndarray) -> PsdRoots:
-    lam, vec = np.linalg.eigh(symmetrize(a))
-    lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
+def psd_roots(a) -> PsdRoots:
+    """The covariance rule for sigma_u_given_t, then the factorization of a
+    symmetrized once: a finite (else InputFormatError) and square (else
+    DimensionError), symmetric within 1e-10 of its largest entry, scale, with
+    no eigenvalue below -1e-12 max(scale, 1) (else DegenerateModelError)."""
+    a = as_vector(a, "sigma_u_given_t", ndim=2)
+    sym = symmetrize(a)
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-10 * scale:
+        raise DegenerateModelError("sigma_u_given_t is not symmetric within tolerance")
+    lam, vec = np.linalg.eigh(sym)
+    if lam.size and lam[0] < -1e-12 * max(scale, 1.0):
+        raise DegenerateModelError(f"sigma_u_given_t has negative eigenvalue {lam[0]:.3e}")
+    lmax = float(np.max(np.abs(lam), initial=0.0))
     keep = lam > RANK_RTOL * lmax
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / np.sqrt(lam[keep])
     return PsdRoots(
-        eigvals=lam,
+        matrix=sym,
         rank=int(np.count_nonzero(keep)),
         root=(vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T,
         inv_root=(vec * inv) @ vec.T,
@@ -231,10 +238,16 @@ def certified_gram(g: np.ndarray, n: int) -> np.ndarray | None:
 def _moments(t: np.ndarray):
     """Column means and the covariance (divisor n) of the rows of t. n times
     the covariance is the centered Gram matrix t_c't_c, the one matrix
-    behind the factor model, select_dim and every least-squares fit."""
+    behind the factor model, select_dim and every least-squares fit.
+    InputFormatError when a variance, which bounds its covariances, overflows."""
     means = t.mean(axis=0)
     centered = t - means
-    return means, (centered.T @ centered) / t.shape[0]
+    with np.errstate(over="ignore"):
+        cov = (centered.T @ centered) / t.shape[0]
+    bad = np.flatnonzero(~np.isfinite(np.diag(cov)))
+    if bad.size:
+        raise InputFormatError(f"the variance of column {bad[0] + 1} overflows; rescale it")
+    return means, cov
 
 
 def gram_lstsq(t: np.ndarray, y: np.ndarray, moments=None) -> LstsqFit | None:

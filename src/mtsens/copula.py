@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import _BLOCK_ENTRIES, as_vector, psd_roots
+from ._linalg import _BLOCK_ENTRIES, PsdRoots, as_vector, psd_roots
 from .errors import (
     CalibrationError,
     DegenerateModelError,
@@ -56,8 +56,8 @@ class SensitivitySpec:
     @classmethod
     def from_gamma(cls, gamma, sigma_u_given_t) -> "SensitivitySpec":
         gamma = as_vector(gamma, "gamma")
-        sigma = np.asarray(sigma_u_given_t, dtype=float)
-        r2 = float(gamma @ sigma @ gamma)
+        roots = psd_roots(sigma_u_given_t)
+        r2 = float(gamma @ roots.matrix @ gamma)
         if r2 > 1.0 + R2_SLACK:
             raise CalibrationError(
                 f"gamma' Sigma gamma = {r2:.6g} exceeds 1: the confounder would "
@@ -66,11 +66,16 @@ class SensitivitySpec:
         r2 = min(r2, 1.0)
         if r2 <= 0.0:
             return cls(gamma=gamma, r2=0.0, direction=np.zeros_like(gamma))
-        direction = psd_roots(sigma).root @ gamma / np.sqrt(r2)
+        direction = roots.root @ gamma / np.sqrt(r2)
         return cls(gamma=gamma, r2=r2, direction=direction)
 
     @classmethod
     def from_r2_direction(cls, r2: float, direction, sigma_u_given_t) -> "SensitivitySpec":
+        return cls._from_roots(r2, direction, psd_roots(sigma_u_given_t))
+
+    @classmethod
+    def _from_roots(cls, r2: float, direction, roots: PsdRoots) -> "SensitivitySpec":
+        """from_r2_direction on the factorization roots of Sigma."""
         direction = as_vector(direction, "direction")
         if not (0.0 <= r2 <= 1.0 + R2_SLACK):
             raise CalibrationError(f"r2 = {r2:.6g} outside [0, 1]")
@@ -83,7 +88,6 @@ class SensitivitySpec:
                 f"direction must be a unit vector (norm {nrm:.12g}); "
                 "normalize it explicitly before calling"
             )
-        roots = psd_roots(sigma_u_given_t)
         if roots.leaves_row_space(direction):
             raise DegenerateModelError(
                 "direction leaves the row space of a singular sigma_u_given_t: "
@@ -146,29 +150,18 @@ class CopulaSpec:
                 )
 
 
-def _copula_correlation(gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Correlation matrix of (ytilde, U) | t, normalizing the U margins."""
-    gamma = as_vector(gamma, "gamma")
-    sigma = np.asarray(sigma, dtype=float)
-    m = gamma.shape[0]
-    if sigma.shape != (m, m):
+def _require_gaussian_copula(gamma: np.ndarray, roots: PsdRoots) -> None:
+    """InvalidCopulaError unless the correlation of (ytilde, U) | t is positive
+    definite: exactly when Sigma is non-singular and the Schur complement
+    s^2 = 1 - gamma' Sigma gamma, the variance of ytilde given U, is > 1e-12."""
+    m = roots.matrix.shape[0]
+    if gamma.shape[0] != m:
         raise DimensionError("gamma and sigma_u_given_t dimensions disagree")
-    cross = sigma @ gamma
-    cov = np.empty((m + 1, m + 1))
-    cov[0, 0] = 1.0
-    cov[0, 1:] = cross
-    cov[1:, 0] = cross
-    cov[1:, 1:] = sigma
-    d = np.sqrt(np.diag(cov))
-    if np.any(d <= 0):
-        raise InvalidCopulaError("copula covariance has a zero-variance margin")
-    corr = cov / np.outer(d, d)
-    eigs = np.linalg.eigvalsh(corr)
-    if eigs.min() <= 1e-12:
-        raise InvalidCopulaError(
-            f"copula correlation is not positive definite (min eigenvalue {eigs.min():.3e})"
-        )
-    return corr
+    if roots.rank < m:
+        raise InvalidCopulaError("sigma_u_given_t is singular: the copula has no density")
+    s2 = 1.0 - float(gamma @ roots.matrix @ gamma)
+    if not s2 > 1e-12:
+        raise InvalidCopulaError(f"copula correlation is not positive definite: s^2 = {s2:.3e}")
 
 
 def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
@@ -180,14 +173,17 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     (U margins normalized to unit variance), divided by the copula density of
     the U block alone. It is identically 1 when gamma = 0, even when the U
     coordinates are mutually correlated. Vectorized over leading axes of p, q.
-    InputFormatError for a p or q outside (0, 1), where the normal quantile
-    is infinite or undefined.
+    psd_roots judges Sigma. InvalidCopulaError when Sigma is singular or
+    s^2 = 1 - gamma' Sigma gamma <= 1e-12, where the correlation is not
+    positive definite; InputFormatError for a p or q outside (0, 1), where
+    the normal quantile is infinite or undefined.
     """
     from scipy.special import ndtri  # imported on use: a slow import
 
     gamma = as_vector(gamma, "gamma")
-    sigma = np.asarray(sigma_u_given_t, dtype=float)
-    _copula_correlation(gamma, sigma)
+    roots = psd_roots(sigma_u_given_t)
+    _require_gaussian_copula(gamma, roots)
+    sigma = roots.matrix
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != sigma.shape[0]:
@@ -465,7 +461,7 @@ def intervention_mean_general(
     mu_t = cc.mu_u_given_t(t)
     sd_t = np.sqrt(np.diag(sigma))
     if copula.kind == "gaussian":
-        _copula_correlation(copula.gamma, sigma)
+        _require_gaussian_copula(copula.gamma, cc.roots)
         z_p = ndtri(p)
 
     # blocks of whole rows draw zu in row order: the same stream as one draw

@@ -510,8 +510,7 @@ def mcc_minimize(
     if tol is None:
         tol = 1e-8 if norm == "l2" else 1e-9
 
-    sigma = bank.sigma_u_given_t
-    roots = psd_roots(sigma)
+    roots = psd_roots(bank.sigma_u_given_t)
     if roots.rank < bank.m:
         raise DegenerateModelError(
             "sigma_u_given_t is singular; the R2 ball is degenerate and the "
@@ -532,7 +531,7 @@ def mcc_minimize(
     return MccResult(
         gamma_star=gamma,
         achieved_norm=_norm_value(bank.naive - g_mat @ z, norm),
-        achieved_r2=float(gamma @ sigma @ gamma),
+        achieved_r2=float(gamma @ roots.matrix @ gamma),
         norm=norm,
         r2_cap=r2_cap,
         lambda_star=lam,

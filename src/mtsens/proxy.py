@@ -8,11 +8,11 @@ sigma_u2 = Var(U) lives in (0, 1]: U explains at most all of the proxy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._linalg import as_vector, full_rank_lstsq
+from ._linalg import as_scalar, as_vector, full_rank_lstsq
 from .bounds import IgnoranceRegion
 from .errors import DegenerateModelError, DimensionError, PositivityError
 
@@ -33,8 +33,9 @@ class ProxyFit:
     sigma2_y_given_tz: float
 
     def __post_init__(self):
-        if self.sigma2_t <= 0 or self.sigma2_t_given_z <= 0 or self.sigma2_y_given_tz <= 0:
-            raise DegenerateModelError("proxy fit variances must be positive")
+        for name in (f.name for f in fields(self)):
+            value = as_scalar(getattr(self, name), name, positive=name.startswith("sigma2"))
+            object.__setattr__(self, name, value)
         if self.sigma2_t_given_z > self.sigma2_t * (1 + 1e-12):
             raise DegenerateModelError(
                 "conditional treatment variance exceeds the marginal one"

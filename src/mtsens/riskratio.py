@@ -22,7 +22,6 @@ import numpy as np
 
 from ._linalg import _BLOCK_ENTRIES, as_vector
 from .bounds import IgnoranceRegion, RobustnessValue
-from .calibrate import gamma_from_signed_r2
 from .copula import CDF_CLAMP, SensitivitySpec
 from .errors import CalibrationError, DegenerateModelError, DimensionError, InputFormatError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
@@ -175,7 +174,7 @@ def rr_curve(
     signed_r2_grid=None,
 ) -> list[tuple[float, float]]:
     """Risk ratio along a signed-R2 sweep in a fixed confounder direction:
-    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d."""
+    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d, from cc.roots."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
     grid = np.asarray(signed_r2_grid, dtype=float)
@@ -189,7 +188,7 @@ def rr_curve(
         # the first error a per-point check would raise: a bad direction or
         # range at the first nonzero point, else the range at the largest
         for i in (nonzero[0], np.argmax(mag)):
-            gamma_from_signed_r2(grid[i], direction, cc.sigma_u_given_t)
+            SensitivitySpec._from_roots(mag[i], direction, cc.roots)
     sign = np.where(grid >= 0, 1.0, -1.0)[:, None]
     z = np.sqrt(np.minimum(mag, 1.0))[:, None] * (sign * direction)
     return list(zip(grid.tolist(), ev.rr(z).tolist()))

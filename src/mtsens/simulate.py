@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import as_vector, orthonormal_null_basis
+from ._linalg import as_scalar, as_vector, orthonormal_null_basis
 from .bounds import worst_case_bias
 from .errors import DegenerateModelError, DimensionError
 from .factor import (
@@ -47,14 +47,13 @@ class SimTruth:
     nonnull_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.b_true, dtype=float)
-        if b.ndim != 2:
-            raise DimensionError("b_true must be a k x m matrix")
+        b = as_vector(self.b_true, "b_true", ndim=2)
         gamma = as_vector(self.gamma_true, "gamma_true")
         if gamma.shape[0] != b.shape[1]:
             raise DimensionError("gamma_true length must match the factor count")
-        if self.sigma2_t_given_u <= 0 or self.sigma2_y_given_tu <= 0:
-            raise DegenerateModelError("noise variances must be positive")
+        for name in ("sigma2_t_given_u", "sigma2_y_given_tu"):
+            object.__setattr__(self, name, as_scalar(getattr(self, name), name, positive=True))
+        as_scalar(self.seed, "seed")
         tau = self.tau_true
         if not isinstance(tau, str):
             tau = as_vector(tau, "tau_true")

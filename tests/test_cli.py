@@ -264,6 +264,29 @@ def test_fit_singular_design_exit_2_names_the_columns(tmp_path, capsys, case, de
     assert exc.value.columns == dependent
 
 
+@pytest.mark.parametrize("command", ["fit", "calibrate", "proxy"])
+def test_overflowing_column_variance_exit_2(tmp_path, capsys, command):
+    # a column of 1e160-scale values is finite, but its variance is not: fit
+    # raised scipy's ValueError, calibrate wrote 0.0 for every other column
+    # and proxy called the intercept and z dependent
+    data = mtsens.gen_gwas(n=200, k=10, m=2, seed=7)
+    t = data.treatments.data * np.append(1e160, np.ones(9))
+    path = tmp_path / "data.csv"
+    if command == "proxy":
+        _write_csv(path, ["y", "t", "z"], np.column_stack([data.y, t[:, :2]]))
+        argv = ["proxy", "--data", str(path)]
+    else:
+        _write_csv(path, [f"t{j + 1}" for j in range(10)] + ["y"], np.column_stack([t, data.y]))
+        argv = [command, "--treatments", str(path), "--outcome", "y"]
+        if command == "fit":
+            argv += ["--m", "3", "--out-dir", str(tmp_path / "m")]
+    rc, _, err = _run(argv, capsys)
+    assert rc == 2, err
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InputFormatError"
+    assert payload["message"] == "the variance of column 1 overflows; rescale it"
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate"])
 @pytest.mark.parametrize(
     "header, rc", [("a,a,y", 2), ("a,,y", 2), ("\ufeffy,a,b", 0)],

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mtsens import (
     CalibrationError,
     ConditionalConfounder,
     Contrast,
+    ContrastBank,
     CopulaSpec,
     DegenerateModelError,
     DimensionError,
@@ -32,7 +34,9 @@ from mtsens import (
     intervention_mean_gaussian,
     intervention_mean_general,
     marginal_contrast,
+    mcc_minimize,
     naive_closed_form,
+    rr_curve,
     SimTruth,
 )
 from mtsens import copula as copula_module
@@ -729,3 +733,93 @@ def test_gaussianize_identities():
         assert degaussianize(
             outcome, t, gaussianize(outcome, t, y)
         ) == pytest.approx(y, abs=1e-10)
+
+
+# every entry point that takes a raw Sigma_{u|t}, called with valid other
+# arguments at m = 2
+_SIGMA_ENTRY_POINTS = {
+    "ConditionalConfounder": lambda sigma: ConditionalConfounder(
+        coef=np.eye(2), sigma_u_given_t=sigma),
+    "mcc_minimize": lambda sigma: mcc_minimize(
+        ContrastBank(deltas=np.array([[0.3, 0.1], [0.2, -0.4]]), naive=np.array([1.0, 0.5]),
+                     sigma_y_given_t=1.0, sigma_u_given_t=sigma),
+        norm="l2", r2_cap=0.5),
+    "from_gamma": lambda sigma: SensitivitySpec.from_gamma(np.array([0.3, 0.2]), sigma),
+    "from_r2_direction": lambda sigma: SensitivitySpec.from_r2_direction(
+        0.3, np.array([1.0, 0.0]), sigma),
+    "gaussian_copula_density": lambda sigma: gaussian_copula_density(
+        np.array([0.3, 0.2]), sigma, 0.4, np.array([0.3, 0.7])),
+}
+_SCALE = 2.0
+# each bad matrix with the error and the message that every entry point gives
+_SIGMAS = {
+    "valid": (np.array([[_SCALE, 0.5], [0.5, 1.0]]), None, None),
+    "nan": (np.array([[_SCALE, np.nan], [0.5, 1.0]]), InputFormatError, "non-finite"),
+    "asymmetric": (np.array([[_SCALE, 0.5], [0.5 + 1e-6 * _SCALE, 1.0]]),
+                   DegenerateModelError, "not symmetric"),
+    "indefinite": (np.diag([_SCALE, -1e-9 * _SCALE]), DegenerateModelError,
+                   "negative eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("sigma_case", list(_SIGMAS))
+@pytest.mark.parametrize("entry", list(_SIGMA_ENTRY_POINTS))
+def test_every_sigma_entry_point_applies_one_rule(entry, sigma_case):
+    # psd_roots judges every Sigma, and the error names it: before, only
+    # ConditionalConfounder refused an asymmetric or indefinite one, and the
+    # others accepted it, called it singular, blamed gamma or the direction,
+    # or raised numpy's LinAlgError
+    sigma, expected, message = _SIGMAS[sigma_case]
+    call = _SIGMA_ENTRY_POINTS[entry]
+    if expected is None:
+        call(sigma)
+        return
+    with pytest.raises(expected, match=f"sigma_u_given_t.*{message}") as exc:
+        call(sigma)
+    assert exc.type is expected
+
+
+def test_singular_sigma_has_no_gaussian_copula_density():
+    # rank 1 under the rank rule: the density returned 1.077 here, while the
+    # estimator and the MCC solve refused the same matrix
+    sigma = np.diag([1.0, 1e-11])
+    with pytest.raises(InvalidCopulaError, match="singular"):
+        gaussian_copula_density(np.array([0.3, 0.2]), sigma, 0.4, np.array([0.3, 0.7]))
+    cc = ConditionalConfounder(coef=np.eye(2), sigma_u_given_t=sigma)
+    assert cc.rank == 1
+    outcome = GaussianOutcome(tau_naive=np.array([1.0, 0.5]), intercept=0.0,
+                              sigma2_y_given_t=1.0)
+    observed = TreatmentMatrix(np.random.default_rng(0).normal(size=(20, 2)))
+    with pytest.raises(InvalidCopulaError):
+        intervention_mean_general(np.ones(2), CopulaSpec("gaussian", gamma=np.zeros(2)), cc,
+                                  outcome, observed, m_draws=10, n_draws=2)
+    with pytest.raises(DegenerateModelError, match="singular"):
+        _SIGMA_ENTRY_POINTS["mcc_minimize"](sigma)
+
+
+def test_confounder_functions_reuse_its_factorization():
+    # rr_curve and the Gaussian-copula estimator read cc.roots: they
+    # factored Sigma twice and once per call before
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 2))
+    cc = ConditionalConfounder(coef=rng.normal(size=(2, 4)),
+                               sigma_u_given_t=a @ a.T / 4 + 0.3 * np.eye(2))
+    observed = TreatmentMatrix(rng.normal(size=(40, 4)))
+    bo = BinaryOutcome(probit_coef=0.3 * rng.normal(size=4), probit_intercept=0.1, p_y1=0.5)
+    outcome = GaussianOutcome(tau_naive=rng.normal(size=4), intercept=0.0,
+                              sigma2_y_given_t=1.0)
+    c = Contrast(rng.normal(size=4), np.zeros(4))
+    copula = CopulaSpec("gaussian", gamma=np.array([0.2, -0.3]))
+    calls = {
+        "rr_curve": lambda: rr_curve(c, cc, bo, observed, np.array([0.6, 0.8]),
+                                     [-0.5, 0.0, 0.5]),
+        "intervention_mean_general": lambda: intervention_mean_general(
+            c.t1, copula, cc, outcome, observed, m_draws=20, n_draws=5),
+    }
+    for name, call in calls.items():
+        eigh = mock.Mock(side_effect=np.linalg.eigh)
+        eigvalsh = mock.Mock(side_effect=np.linalg.eigvalsh)
+        with mock.patch.object(np.linalg, "eigh", eigh), \
+                mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
+            call()
+        assert eigh.call_count + eigvalsh.call_count == 0, name

@@ -521,6 +521,16 @@ def test_load_factor_model_refuses_a_null_loading(tmp_path):
         load_factor_model(path)
 
 
+def test_conditional_confounder_of_strong_factors():
+    # I - coef B is asymmetric by more than 1e-10 of its scale at
+    # d^2 / sigma2 = 1e8, which psd_roots would refuse unsymmetrized
+    fm = FactorModel(b_hat=np.array([[6e3, 1e3], [-4e3, 5e3], [2e3, -7e3], [1e3, 2e3]]),
+                     sigma2_t_given_u=1e-1, m=2, singular_values=np.ones(2))
+    cc = conditional_confounder(fm)
+    assert np.array_equal(cc.sigma_u_given_t, cc.sigma_u_given_t.T)
+    assert cc.full_rank()
+
+
 def test_conditional_confounder_direct_construction_validates():
     with pytest.raises(DimensionError):
         ConditionalConfounder(
@@ -558,6 +568,11 @@ _MODEL_ARGS = {
                              sigma2_y_given_t=1.0),
     "PolynomialMeanFn": dict(degree=2, intercept=0.5,
                              coef=np.array([[1.0, 0.5], [0.0, -1.0]])),
+    "SimTruth": dict(b_true=B_K4, sigma2_t_given_u=1.0, sigma2_y_given_tu=1.0,
+                     gamma_true=np.array([0.5]), tau_true=np.array([1.0, 0.0, 0.0, 0.5]),
+                     seed=0),
+    "ProxyFit": dict(tilde_beta=0.4, tilde_gamma=0.3, tilde_tau=0.35, sigma2_t=1.5,
+                     sigma2_t_given_z=1.34, sigma2_y_given_tz=0.8),
 }
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtsens.mcc as mcc_module
@@ -464,10 +464,15 @@ def _degenerate_bank(n_contrasts, m, kind, seed):
     cap=st.floats(min_value=1e-6, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
+# a 5 x 5 system of condition number 1e14: both solutions fit to 1e-15, and
+# they differ by 1e-4
+@example(n_contrasts=4, m=4, kind="rank_deficient", cap=0.53125, seed=6812)
 def test_dual_multipliers_match_scipy_nnls_at_full_column_rank(n_contrasts, m, kind, cap, seed):
-    # the multiplier systems that the dual candidates solve: where one has
-    # full column rank its solution is unique, and the numpy active-set
-    # solve must return scipy's
+    # the multiplier systems that the dual candidates solve: every solution
+    # is nonnegative and fits as well as scipy's; where a system is well
+    # conditioned (full column rank, cond < 1/sqrt(eps)) its solution is
+    # unique, and the numpy active-set solve must return scipy's within the
+    # error that the condition number allows
     from scipy.optimize import nnls as scipy_nnls
 
     bank = _degenerate_bank(n_contrasts, m, kind, seed)
@@ -481,9 +486,16 @@ def test_dual_multipliers_match_scipy_nnls_at_full_column_rank(n_contrasts, m, k
     with mock.patch.object(mcc_module, "nnls", spy):
         for norm in ("l1", "linf"):
             mcc_minimize(bank, norm=norm, r2_cap=cap)
+    eps = np.finfo(float).eps
     for a, b, x in systems:
-        if np.linalg.matrix_rank(a) == a.shape[1]:
-            np.testing.assert_allclose(x, scipy_nnls(a, b)[0], rtol=1e-10, atol=1e-10)
+        ref = scipy_nnls(a, b)[0]
+        assert (x >= 0.0).all()
+        resid, ref_resid = np.linalg.norm(a @ x - b), np.linalg.norm(a @ ref - b)
+        assert resid <= ref_resid + 1e-10 * (1.0 + np.linalg.norm(b))
+        cond = np.linalg.cond(a)
+        if a.shape[0] >= a.shape[1] and cond < 1.0 / math.sqrt(eps):
+            tol = 1e-10 + 10.0 * cond * eps * max(1.0, float(np.abs(x).max()))
+            np.testing.assert_allclose(x, ref, rtol=0.0, atol=tol)
 
 
 @settings(max_examples=300, deadline=None)
