@@ -1,5 +1,10 @@
 """Small linear-algebra helpers used across modules.
 
+Every argument is read by as_vector, as_points, as_scalar or as_r2, and
+every length that two pieces of a call must share (the k treatments, the
+m confounder coordinates, the n rows of a panel) is judged by
+check_length alone, with one message.
+
 Every confounder covariance Sigma_{u|t} is judged and factored by psd_roots
 alone: one covariance rule, one eigendecomposition and one rank rule
 (eigenvalues above RANK_RTOL * lambda_max), so all callers agree on when a
@@ -28,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateModelError, DimensionError, InputFormatError, SingularFitError
+from .errors import (CalibrationError, DegenerateModelError, DimensionError, InputFormatError,
+                     SingularFitError)
 
 # Relative cutoff that defines numerical rank.
 RANK_RTOL = 1e-10
@@ -41,18 +47,41 @@ OUT_OF_ROW_SPACE_RTOL = 1e-8
 _BLOCK_ENTRIES = 2**15
 
 
-def as_vector(x, name: str = "vector", ndim: int = 1) -> np.ndarray:
+def check_length(name: str, got: int | None, expected: int) -> None:
+    """The one length rule of the package: DimensionError unless got equals
+    expected. got None (a custom mean_fn's unknown k) passes."""
+    if got is not None and got != expected:
+        raise DimensionError(f"{name} has length {got}, expected {expected}")
+
+
+def as_vector(x, name: str = "vector", ndim: int = 1, length: int | None = None) -> np.ndarray:
     """x as a float array (x itself when it is one) with finite entries,
     else InputFormatError. ndim=1 flattens any shape; any other ndim must
-    be the number of axes of x, else DimensionError."""
+    be the number of axes of x, else DimensionError. With length, every
+    axis must have that length (check_length)."""
     v = np.asarray(x, dtype=float)
     if v.ndim != ndim:
         if ndim != 1:
             raise DimensionError(f"{name} must have {ndim} axes, got shape {v.shape}")
         v = v.reshape(-1)
+    if length is not None:
+        for got in v.shape:
+            check_length(name, got, length)
     if not np.isfinite(v).all():
         raise InputFormatError(f"{name} contains non-finite entries")
     return v
+
+
+def as_points(t, k: int, name: str = "t") -> np.ndarray:
+    """t as a float array of points in R^k, one point or a batch along the
+    leading axes: the last axis must have length k (check_length), and a
+    scalar is the point of length 1. A shape comparison only, with no
+    finiteness pass, since the outcome means run it once per point."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = t.reshape(1)
+    check_length(name, t.shape[-1], k)
+    return t
 
 
 def as_scalar(x, name: str, positive: bool = False) -> float:
@@ -63,6 +92,15 @@ def as_scalar(x, name: str, positive: bool = False) -> float:
         raise InputFormatError(f"{name} is not finite")
     if positive and v <= 0:
         raise DegenerateModelError(f"{name} must be positive")
+    return v
+
+
+def as_r2(x, name: str, slack: float = 0.0) -> float:
+    """x as an R2 share in [0, 1], up to slack above 1, else
+    CalibrationError naming the argument; NaN is refused."""
+    v = float(x)
+    if not (0.0 <= v <= 1.0 + slack):
+        raise CalibrationError(f"{name} = {v:.6g} outside [0, 1]")
     return v
 
 

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import orthonormal_null_basis
+from ._linalg import as_r2, check_length, orthonormal_null_basis
 from .copula import SensitivitySpec
-from .errors import CalibrationError, DegenerateModelError, InputFormatError
+from .errors import DegenerateModelError, InputFormatError
 from .factor import ConditionalConfounder, Contrast, FactorModel, mu_delta
 
 REASON_ROW_SPACE = (
@@ -44,8 +44,7 @@ class IgnoranceRegion:
     reason: str | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.r2_cap <= 1.0):
-            raise CalibrationError(f"r2_cap = {self.r2_cap:.6g} outside [0, 1]")
+        as_r2(self.r2_cap, "r2_cap")
         if self.bounded:
             if not (self.lower <= self.naive <= self.upper):
                 raise InputFormatError(
@@ -79,12 +78,6 @@ class ContrastBoundSweep(NamedTuple):
     null_space_basis: np.ndarray
 
 
-def _check_r2(r2: float) -> float:
-    if not (0.0 <= r2 <= 1.0):
-        raise CalibrationError(f"r2 = {r2:.6g} outside [0, 1]")
-    return float(r2)
-
-
 def bias_closed_form(
     spec: SensitivitySpec,
     cc: ConditionalConfounder,
@@ -93,8 +86,9 @@ def bias_closed_form(
 ) -> float:
     """Confounding bias of the naive contrast under a specific gamma:
     sigma_{y|t} * gamma'(mu_{u|t1} - mu_{u|t2}), gamma on the standardized
-    scale.
+    scale. gamma must have cc's m, and the contrast cc's k (check_length).
     """
+    check_length("gamma", spec.m, cc.m)
     return float(sigma_y_given_t * (spec.gamma @ mu_delta(cc, c)))
 
 
@@ -123,7 +117,7 @@ def worst_case_bias(
     psd_roots, the same verdict mcc_minimize and intervention_mean_general
     reach.
     """
-    r2 = _check_r2(r2)
+    r2 = as_r2(r2, "r2")
     w = _whitened_mu_delta(cc, c)
     if w is None:
         return math.inf
@@ -184,7 +178,7 @@ def contrast_bound_sweep(
     contrast directions with exactly zero bias (orthogonal to every loading
     column).
     """
-    r2 = _check_r2(r2)
+    r2 = as_r2(r2, "r2")
     b = fm.b_hat
     s2 = fm.sigma2_t_given_u
     u, sv, _ = np.linalg.svd(b, full_matrices=False)
@@ -235,10 +229,8 @@ def single_treatment_bias(
     sigma arguments are standard deviations. Returns math.inf at
     r2_t_u = 1.
     """
-    if not (0.0 <= r2_t_u <= 1.0):
-        raise CalibrationError(f"r2_t_u = {r2_t_u:.6g} outside [0, 1]")
-    if not (0.0 <= r2_y_u_t <= 1.0):
-        raise CalibrationError(f"r2_y_u_t = {r2_y_u_t:.6g} outside [0, 1]")
+    as_r2(r2_t_u, "r2_t_u")
+    as_r2(r2_y_u_t, "r2_y_u_t")
     if sigma_y_given_t <= 0 or sigma_t <= 0:
         raise DegenerateModelError("standard deviations must be positive")
     if r2_t_u == 1.0:

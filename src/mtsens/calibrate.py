@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import as_vector, lstsq
+from ._linalg import as_vector, check_length, lstsq
 from .copula import SensitivitySpec
 from .errors import CalibrationError, DimensionError
 from .factor import TreatmentMatrix
@@ -38,9 +38,7 @@ def gamma_from_signed_r2(signed_r2: float, direction, sigma_u_given_t) -> Sensit
 
 def _outcome(treatments: TreatmentMatrix, y):
     """y as a vector with one value per row, and its total sum of squares."""
-    y = as_vector(y, "y")
-    if y.shape[0] != treatments.n:
-        raise DimensionError("y length must match the number of rows")
+    y = treatments._response(y)
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0.0:
         raise CalibrationError("outcome has zero variance")
@@ -110,9 +108,10 @@ def implicit_r2(
     version on the implicit scale, against a probit refit on the other
     columns that starts from the full model's coefficients with the columns
     j dropped, so a table of one call per column takes a few Newton steps
-    per column."""
+    per column. probit_model must have the panel's k (check_length)."""
     if probit_model is None:
         probit_model = fit_probit(treatments, y_binary)
+    check_length("outcome slope vector", probit_model.k, treatments.k)
     r2_full = _implicit_r2_of_fit(treatments.data, probit_model)
     if j is None:
         return r2_full
@@ -148,8 +147,7 @@ def benchmark_table(
     from scipy.linalg import lapack  # imported on use: a slow import
 
     names = list(names) if names is not None else treatments.names()
-    if len(names) != treatments.k:
-        raise DimensionError("names length must match the number of columns")
+    check_length("names", len(names), treatments.k)
     y, tss = _outcome(treatments, y)
     t = treatments.data
     n, p = t.shape[0], t.shape[1] + 1

@@ -21,10 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._linalg import as_vector
-from .bounds import _check_r2, ignorance_region, robustness_value
+from ._linalg import as_r2, as_vector, check_length
+from .bounds import ignorance_region, robustness_value
 from .calibrate import benchmark_table, implicit_r2
-from .errors import ConvergenceError, DimensionError, InputFormatError, MtsensError
+from .errors import ConvergenceError, InputFormatError, MtsensError
 from .factor import (
     Contrast,
     Table,
@@ -42,7 +42,6 @@ from .factor import (
 from .mcc import build_bank_unitwise, mcc_minimize, mcc_report
 from .outcome import (
     BinaryOutcome,
-    EmpiricalOutcome,
     GaussianOutcome,
     fit_empirical,
     fit_linear,
@@ -230,11 +229,11 @@ def _parse_contrasts(args, k: int) -> list[tuple[str, Contrast]]:
 
 
 def _load_models(models_dir: str):
+    """The confounder and the outcome model of a models directory, with the
+    outcome's k checked against the confounder's (check_length)."""
     cc = load_confounder(os.path.join(models_dir, "confounder.json"))
     outcome = load_outcome(os.path.join(models_dir, "outcome.json"))
-    k = outcome.mean_fn.coef.shape[0] if isinstance(outcome, EmpiricalOutcome) else outcome.k
-    if k != cc.k:
-        raise DimensionError(f"the outcome model has k = {k}, the confounder k = {cc.k}")
+    check_length("outcome slope vector", outcome.k, cc.k)
     return cc, outcome
 
 
@@ -303,7 +302,7 @@ def cmd_bounds(args, prov: dict) -> int:
     _require_continuous(outcome)
     sigma = outcome.sigma()
     contrasts = _parse_contrasts(args, cc.k)
-    r2 = np.array([_check_r2(v) for v in _parse_r2_list(args.r2)])
+    r2 = np.array([as_r2(v, "r2") for v in _parse_r2_list(args.r2)])
     ids, naive, rv, _ = _contrast_columns(outcome, cc, sigma, contrasts)
     # The region of a zero effect at unit sigma and cap 1 is [-w, w] with
     # w = ||Sigma^{-1/2} mu_delta|| exactly, so every cap's half-width is
@@ -368,8 +367,7 @@ def cmd_mcc(args, prov: dict) -> int:
             j = _outcome_column(names, args.outcome)
             if j is not None:
                 del names[j]
-        if len(names) != cc.k:
-            raise DimensionError("treatments and confounder dimensions disagree")
+        check_length("panel row", len(names), cc.k)
         bank = replace(bank, ids=tuple(names))
     result = mcc_minimize(bank, norm=args.norm, r2_cap=args.r2_cap)
     rows = mcc_report(bank, result.gamma_star)
@@ -415,8 +413,6 @@ def cmd_rr(args, prov: dict) -> int:
     _, c = contrasts[0]
     if args.direction is not None:
         d = as_vector(_parse_floats(args.direction), "direction")
-        if d.shape[0] != cc.m:
-            raise InputFormatError(f"direction needs {cc.m} components")
     elif cc.m == 1:
         d = np.ones(1)
     else:
@@ -519,14 +515,15 @@ def cmd_simulate(args, prov: dict) -> int:
         print(f"wrote {os.path.join(args.out_dir, 'rotation.tsv')}")
         return 0
     if preset == "linear":
-        data = gen_linear_gaussian(truth, args.n or 2000)
+        data = gen_linear_gaussian(truth, 2000 if args.n is None else args.n)
     elif preset in ("nonlinear", "nonlinear-binary"):
         data = gen_nonlinear(
-            args.n or 5000, binary_y=(preset == "nonlinear-binary"), seed=args.seed
+            5000 if args.n is None else args.n, binary_y=(preset == "nonlinear-binary"),
+            seed=args.seed,
         )
     elif preset == "gwas":
         data = gen_gwas(
-            n=args.n or 1000,
+            n=1000 if args.n is None else args.n,
             k=args.k,
             m=args.m,
             frac_large=args.frac_large,

@@ -16,14 +16,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._linalg import _BLOCK_ENTRIES, PsdRoots, as_vector, psd_roots
-from .errors import (
-    CalibrationError,
-    DegenerateModelError,
-    DimensionError,
-    InputFormatError,
-    InvalidCopulaError,
-)
+from ._linalg import _BLOCK_ENTRIES, PsdRoots, as_points, as_r2, as_vector, check_length, psd_roots
+from .errors import CalibrationError, DegenerateModelError, InputFormatError, InvalidCopulaError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import EmpiricalOutcome, GaussianOutcome, _quantile_type7, conditional_cdf_quantile
 
@@ -55,8 +49,9 @@ class SensitivitySpec:
 
     @classmethod
     def from_gamma(cls, gamma, sigma_u_given_t) -> "SensitivitySpec":
-        gamma = as_vector(gamma, "gamma")
+        """The spec of gamma, of Sigma's length m (check_length)."""
         roots = psd_roots(sigma_u_given_t)
+        gamma = as_vector(gamma, "gamma", length=roots.matrix.shape[0])
         r2 = float(gamma @ roots.matrix @ gamma)
         if r2 > 1.0 + R2_SLACK:
             raise CalibrationError(
@@ -75,11 +70,10 @@ class SensitivitySpec:
 
     @classmethod
     def _from_roots(cls, r2: float, direction, roots: PsdRoots) -> "SensitivitySpec":
-        """from_r2_direction on the factorization roots of Sigma."""
-        direction = as_vector(direction, "direction")
-        if not (0.0 <= r2 <= 1.0 + R2_SLACK):
-            raise CalibrationError(f"r2 = {r2:.6g} outside [0, 1]")
-        r2 = min(float(r2), 1.0)
+        """from_r2_direction on the factorization roots of Sigma: a direction
+        of Sigma's length m (check_length), and r2 in [0, 1] up to R2_SLACK."""
+        direction = as_vector(direction, "direction", length=roots.matrix.shape[0])
+        r2 = min(as_r2(r2, "r2", R2_SLACK), 1.0)
         nrm = float(np.linalg.norm(direction))
         if r2 == 0.0:
             return cls(gamma=np.zeros_like(direction), r2=0.0, direction=direction * 0.0)
@@ -101,9 +95,9 @@ class SensitivitySpec:
         """The equivalent gamma after reparameterizing the confounder by SPD A.
 
         With (coef, Sigma) -> (A coef, A Sigma A'), the copula is preserved
-        by gamma -> A^{-1} gamma (A symmetric).
+        by gamma -> A^{-1} gamma (A symmetric, m x m).
         """
-        a = np.asarray(a, dtype=float)
+        a = as_vector(a, "a", ndim=2, length=self.m)
         gamma_t = np.linalg.solve(a, self.gamma)
         return SensitivitySpec(gamma=gamma_t, r2=self.r2, direction=self.direction)
 
@@ -153,11 +147,9 @@ class CopulaSpec:
 def _require_gaussian_copula(gamma: np.ndarray, roots: PsdRoots) -> None:
     """InvalidCopulaError unless the correlation of (ytilde, U) | t is positive
     definite: exactly when Sigma is non-singular and the Schur complement
-    s^2 = 1 - gamma' Sigma gamma, the variance of ytilde given U, is > 1e-12."""
-    m = roots.matrix.shape[0]
-    if gamma.shape[0] != m:
-        raise DimensionError("gamma and sigma_u_given_t dimensions disagree")
-    if roots.rank < m:
+    s^2 = 1 - gamma' Sigma gamma, the variance of ytilde given U, is > 1e-12.
+    gamma must already have Sigma's length m."""
+    if roots.rank < roots.matrix.shape[0]:
         raise InvalidCopulaError("sigma_u_given_t is singular: the copula has no density")
     s2 = 1.0 - float(gamma @ roots.matrix @ gamma)
     if not s2 > 1e-12:
@@ -173,21 +165,20 @@ def gaussian_copula_density(gamma, sigma_u_given_t, p, q):
     (U margins normalized to unit variance), divided by the copula density of
     the U block alone. It is identically 1 when gamma = 0, even when the U
     coordinates are mutually correlated. Vectorized over leading axes of p, q.
-    psd_roots judges Sigma. InvalidCopulaError when Sigma is singular or
+    psd_roots judges Sigma, and gamma and the last axis of q must have its
+    length m (check_length). InvalidCopulaError when Sigma is singular or
     s^2 = 1 - gamma' Sigma gamma <= 1e-12, where the correlation is not
     positive definite; InputFormatError for a p or q outside (0, 1), where
     the normal quantile is infinite or undefined.
     """
     from scipy.special import ndtri  # imported on use: a slow import
 
-    gamma = as_vector(gamma, "gamma")
     roots = psd_roots(sigma_u_given_t)
-    _require_gaussian_copula(gamma, roots)
     sigma = roots.matrix
+    gamma = as_vector(gamma, "gamma", length=sigma.shape[0])
+    _require_gaussian_copula(gamma, roots)
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != sigma.shape[0]:
-        raise DimensionError("q must have m entries in its last axis")
+    q = as_points(q, sigma.shape[0], "q")
     for name, v in (("p", p), ("q", q)):
         if not ((v > 0.0) & (v < 1.0)).all():
             raise InputFormatError(f"{name} must lie in the open interval (0, 1)")
@@ -291,13 +282,14 @@ def _gaussian_means(ts, spec, cc, outcome, observed, v, n_sim, seed, max_rows):
     """One MonteCarloMean of E[v(Y) | do(T=t)] per point t of ts, all from the
     same draws. Blocks of whole rows draw z in row order, the same stream as
     one (row, draw) array, so scratch memory is about _BLOCK_ENTRIES for
-    any n."""
+    any n. The points, the panel and the outcome share cc's k, and gamma
+    its m (check_length)."""
     if n_sim < 1:
         raise InputFormatError("n_sim must be at least 1")
-    ts = [as_vector(t, "t") for t in ts]
-    for t in ts:
-        if t.shape[0] != cc.k:
-            raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
+    ts = [as_vector(t, "t", length=cc.k) for t in ts]
+    check_length("panel row", observed.k, cc.k)
+    check_length("outcome slope vector", outcome.k, cc.k)
+    check_length("gamma", spec.m, cc.m)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = _select_rows(observed, max_rows, rng)
     n = rows.shape[0]
@@ -432,15 +424,18 @@ def intervention_mean_general(
     (u - mu_{u|t}) / sd_t as they are, so rows far from mu_{u|t} keep their
     true density. A custom density needs uniforms: there each draw goes
     through Phi, is clipped to [CDF_CLAMP, 1 - CDF_CLAMP], and a warning
-    counts the clipped values.
+    counts the clipped values. t, the panel and the outcome share cc's k,
+    and a Gaussian copula's gamma its m (check_length).
     """
     from scipy.special import ndtr, ndtri  # imported on use: a slow import
 
     if m_draws < 1 or n_draws < 1:
         raise InputFormatError("m_draws and n_draws must be at least 1")
-    t = as_vector(t, "t")
-    if t.shape[0] != cc.k:
-        raise DimensionError(f"t has length {t.shape[0]}, expected {cc.k}")
+    t = as_vector(t, "t", length=cc.k)
+    check_length("panel row", observed.k, cc.k)
+    check_length("outcome slope vector", outcome.k, cc.k)
+    if copula.kind == "gaussian":
+        check_length("gamma", copula.gamma.shape[0], cc.m)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = _select_rows(observed, max_rows, rng)
     n = rows.shape[0]

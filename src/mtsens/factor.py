@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (PsdRoots, _moments, as_scalar, as_vector, fix_column_signs, psd_roots,
-                      symmetrize)
+from ._linalg import (PsdRoots, _moments, as_points, as_scalar, as_vector, check_length,
+                      fix_column_signs, psd_roots, symmetrize)
 from .errors import DegenerateModelError, DimensionError, InputFormatError
 
 
@@ -26,7 +26,9 @@ from .errors import DegenerateModelError, DimensionError, InputFormatError
 class TreatmentMatrix:
     """Observed treatments: rows are units, columns are treatment variables.
     data is a read-only view of the array passed in, which stays writeable;
-    the panel must not change after construction, as moments caches it."""
+    the panel must not change after construction, as moments caches it.
+    The panel owns the n axis: every response fitted on it passes
+    _response."""
 
     data: np.ndarray
     column_names: list[str] | None = None
@@ -38,10 +40,8 @@ class TreatmentMatrix:
             raise DimensionError(f"need at least 2 rows of treatments, got {n}")
         if k < 1:
             raise DimensionError("need at least 1 treatment column")
-        if self.column_names is not None and len(self.column_names) != k:
-            raise DimensionError(
-                f"{len(self.column_names)} column names for {k} columns"
-            )
+        if self.column_names is not None:
+            check_length("column_names", len(self.column_names), k)
         data = data.view()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -53,6 +53,10 @@ class TreatmentMatrix:
         means, cov = _moments(self.data)
         means.flags.writeable = cov.flags.writeable = False
         return means, cov
+
+    def _response(self, y) -> np.ndarray:
+        """y as a finite vector with one entry per row (as_vector)."""
+        return as_vector(y, "y", length=self.n)
 
     @property
     def n(self) -> int:
@@ -95,13 +99,10 @@ class FactorModel:
                 f"confounder dimension m={self.m} must satisfy 1 <= m < k={k}; "
                 "outside that range the treatment noise variance is not identifiable"
             )
-        if m != self.m:
-            raise DimensionError(f"b_hat has {m} columns but m={self.m}")
+        check_length("b_hat columns", m, self.m)
         sigma2 = as_scalar(self.sigma2_t_given_u, "sigma2_t_given_u", positive=True)
         means = self.treatment_means
-        means = np.zeros(k) if means is None else as_vector(means, "treatment_means")
-        if means.shape[0] != k:
-            raise DimensionError("treatment_means length must equal k")
+        means = np.zeros(k) if means is None else as_vector(means, "treatment_means", length=k)
         object.__setattr__(self, "b_hat", b)
         object.__setattr__(self, "sigma2_t_given_u", sigma2)
         object.__setattr__(self, "singular_values",
@@ -136,14 +137,9 @@ class ConditionalConfounder:
         coef = as_vector(self.coef, "coef", ndim=2)
         m, k = coef.shape
         roots = psd_roots(self.sigma_u_given_t)
-        if roots.matrix.shape != (m, m):
-            raise DimensionError(
-                f"sigma_u_given_t has shape {roots.matrix.shape}, expected ({m}, {m})"
-            )
+        check_length("sigma_u_given_t", roots.matrix.shape[0], m)
         means = self.treatment_means
-        means = np.zeros(k) if means is None else as_vector(means, "treatment_means")
-        if means.shape[0] != k:
-            raise DimensionError("treatment_means length must equal k")
+        means = np.zeros(k) if means is None else as_vector(means, "treatment_means", length=k)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "sigma_u_given_t", roots.matrix)
         object.__setattr__(self, "roots", roots)
@@ -165,15 +161,15 @@ class ConditionalConfounder:
         return self.rank == self.m
 
     def mu_u_given_t(self, t) -> np.ndarray:
-        """Posterior mean of the confounder at a raw treatment vector."""
-        t = np.asarray(t, dtype=float)
+        """Posterior mean of the confounder at a raw treatment vector, or at
+        each row of a batch; the confounder owns the k axis (as_points)."""
+        t = as_points(t, self.k)
         return (t - self.treatment_means) @ self.coef.T
 
     def reparameterized(self, a: np.ndarray) -> "ConditionalConfounder":
-        """Equivalent representation (A coef, A Sigma A^T) for invertible A."""
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.m, self.m):
-            raise DimensionError("reparameterization matrix must be m x m")
+        """Equivalent representation (A coef, A Sigma A^T) for invertible
+        m x m A."""
+        a = as_vector(a, "a", ndim=2, length=self.m)
         return ConditionalConfounder(
             coef=a @ self.coef,
             sigma_u_given_t=a @ self.sigma_u_given_t @ a.T,
@@ -191,9 +187,7 @@ class Contrast:
 
     def __post_init__(self):
         t1 = as_vector(self.t1, "t1")
-        t2 = as_vector(self.t2, "t2")
-        if t1.shape != t2.shape:
-            raise DimensionError("t1 and t2 must have the same length")
+        t2 = as_vector(self.t2, "t2", length=t1.shape[0])
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
         object.__setattr__(self, "delta", t1 - t2)
@@ -345,11 +339,9 @@ def conditional_confounder(fm: FactorModel) -> ConditionalConfounder:
 
 
 def mu_delta(cc: ConditionalConfounder, c: Contrast) -> np.ndarray:
-    """Shift in the confounder posterior mean across a contrast: coef (t1 - t2)."""
-    if c.delta.shape[0] != cc.k:
-        raise DimensionError(
-            f"contrast has length {c.delta.shape[0]} but confounder expects {cc.k}"
-        )
+    """Shift in the confounder posterior mean across a contrast: coef (t1 - t2).
+    The contrast's length is checked by the one rule (check_length)."""
+    check_length("contrast", c.delta.shape[0], cc.k)
     return cc.coef @ c.delta
 
 

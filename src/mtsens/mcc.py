@@ -24,15 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import as_scalar, as_vector, nnls, psd_roots
+from ._linalg import as_r2, as_scalar, as_vector, check_length, nnls, psd_roots
 from .copula import SensitivitySpec
-from .errors import (
-    CalibrationError,
-    ConvergenceError,
-    DegenerateModelError,
-    DimensionError,
-    InputFormatError,
-)
+from .errors import ConvergenceError, DegenerateModelError, DimensionError, InputFormatError
 from .factor import ConditionalConfounder, TreatmentMatrix
 from .outcome import GaussianOutcome
 
@@ -59,20 +53,15 @@ class ContrastBank:
         deltas = as_vector(self.deltas, "deltas", ndim=2)
         if deltas.shape[0] < 1:
             raise DimensionError("deltas must be a K x m matrix with K >= 1")
-        naive = as_vector(self.naive, "naive")
-        if naive.shape[0] != deltas.shape[0]:
-            raise DimensionError("naive length must match the number of contrasts")
+        naive = as_vector(self.naive, "naive", length=deltas.shape[0])
         sigma_y = as_scalar(self.sigma_y_given_t, "sigma_y_given_t", positive=True)
-        sigma = as_vector(self.sigma_u_given_t, "sigma_u_given_t", ndim=2)
-        if sigma.shape != (deltas.shape[1], deltas.shape[1]):
-            raise DimensionError("sigma_u_given_t must be m x m")
+        sigma = as_vector(self.sigma_u_given_t, "sigma_u_given_t", ndim=2, length=deltas.shape[1])
         ids = self.ids
         if ids is None:
             ids = tuple(f"c{i + 1}" for i in range(deltas.shape[0]))
         else:
             ids = tuple(str(s) for s in ids)
-            if len(ids) != deltas.shape[0]:
-                raise DimensionError("ids length must match the number of contrasts")
+            check_length("ids", len(ids), deltas.shape[0])
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "naive", naive)
         object.__setattr__(self, "sigma_y_given_t", sigma_y)
@@ -118,11 +107,10 @@ def build_bank_unitwise(
     off in every observed row gives delta t = e_j regardless of the row, so
     row j of the bank is column j of the confounder coefficient map and the
     naive effect is the linear outcome coefficient. observed is only needed
-    for dimension validation and contrast names; None skips both."""
-    if observed is not None and observed.k != cc.k:
-        raise DimensionError("treatments and confounder dimensions disagree")
-    if outcome.k != cc.k:
-        raise DimensionError("confounder and outcome dimensions disagree")
+    for the length rule (check_length) and contrast names; None skips both."""
+    if observed is not None:
+        check_length("panel row", observed.k, cc.k)
+    check_length("outcome slope vector", outcome.k, cc.k)
     if treatment_indices is None:
         treatment_indices = range(cc.k)
     idx = list(treatment_indices)
@@ -149,8 +137,7 @@ def _adjusted_effects(bank: ContrastBank, gamma: np.ndarray) -> np.ndarray:
 
 def pate_vector(bank: ContrastBank, spec: SensitivitySpec) -> np.ndarray:
     """Adjusted effect vector naive - sigma_{y|t} * deltas gamma."""
-    if spec.m != bank.m:
-        raise DimensionError("sensitivity vector dimension does not match the bank")
+    check_length("gamma", spec.m, bank.m)
     return _adjusted_effects(bank, spec.gamma)
 
 
@@ -505,8 +492,7 @@ def mcc_minimize(
     norm = norm.lower()
     if norm not in NORMS:
         raise InputFormatError(f"norm must be one of {NORMS}")
-    if not (0.0 <= r2_cap <= 1.0):
-        raise CalibrationError(f"r2_cap = {r2_cap:.6g} outside [0, 1]")
+    as_r2(r2_cap, "r2_cap")
     if tol is None:
         tol = 1e-8 if norm == "l2" else 1e-9
 
@@ -543,9 +529,7 @@ def mcc_minimize(
 def mcc_report(bank: ContrastBank, gamma_star) -> list[MccReportRow]:
     """Per-contrast naive vs adjusted table for a candidate sensitivity
     vector; shrinkage_ratio is adjusted/naive (nan when naive is zero)."""
-    gamma = as_vector(gamma_star, "gamma_star")
-    if gamma.shape[0] != bank.m:
-        raise DimensionError("gamma_star dimension does not match the bank")
+    gamma = as_vector(gamma_star, "gamma_star", length=bank.m)
     adjusted = _adjusted_effects(bank, gamma)
     return [
         MccReportRow(

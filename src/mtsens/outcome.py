@@ -1,7 +1,9 @@
 """Observed outcome models f(y|t): Gaussian-linear, probit-binary, empirical.
 
 Each model exposes a conditional mean and, through conditional_cdf_quantile,
-the conditional CDF / quantile pair used by the copula machinery.
+the conditional CDF / quantile pair used by the copula machinery. Each owns
+the k axis of the points it is evaluated at (as_points), except a custom
+mean_fn, whose k is unknown.
 """
 from __future__ import annotations
 
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (as_scalar, as_vector, certified_cholesky_solve, full_rank_lstsq,
-                      gram_lstsq)
+from ._linalg import (as_points, as_scalar, as_vector, certified_cholesky_solve,
+                      check_length, full_rank_lstsq, gram_lstsq)
 from .errors import DegenerateModelError, DimensionError, InputFormatError, SeparationError
 from .factor import TreatmentMatrix, _read_json, _write_json
 
@@ -39,8 +41,7 @@ class GaussianOutcome:
         return self.tau_naive.shape[0]
 
     def mean(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        return self.intercept + t @ self.tau_naive
+        return self.intercept + as_points(t, self.k) @ self.tau_naive
 
     def sigma(self) -> float:
         return float(np.sqrt(self.sigma2_y_given_t))
@@ -70,8 +71,7 @@ class BinaryOutcome:
         """P(Y=1 | T=t) under the probit fit."""
         from scipy.special import ndtr  # imported on use: a slow import
 
-        t = np.asarray(t, dtype=float)
-        return ndtr(self.probit_intercept + t @ self.probit_coef)
+        return ndtr(self.probit_intercept + as_points(t, self.k) @ self.probit_coef)
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,13 @@ class EmpiricalOutcome:
         object.__setattr__(self, "sigma2_y_given_t",
                            as_scalar(self.sigma2_y_given_t, "sigma2_y_given_t", positive=True))
 
+    @property
+    def k(self) -> int | None:
+        """The built-in polynomial mean's treatment count; None for a custom
+        mean_fn, which no length rule checks."""
+        fn = self.mean_fn
+        return fn.coef.shape[0] if isinstance(fn, PolynomialMeanFn) else None
+
     def mean(self, t) -> np.ndarray | float:
         return self.mean_fn(t)
 
@@ -113,8 +120,7 @@ class PolynomialMeanFn:
     def __post_init__(self):
         self.intercept = as_scalar(self.intercept, "intercept")
         self.coef = as_vector(self.coef, "coef", ndim=2)
-        if self.coef.shape[1] != self.degree:
-            raise DimensionError(f"coef has {self.coef.shape[1]} columns, degree {self.degree}")
+        check_length("coef columns", self.coef.shape[1], self.degree)
 
     def features(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -122,7 +128,7 @@ class PolynomialMeanFn:
         return np.concatenate(cols, axis=1)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = as_points(t, self.coef.shape[0])
         single = t.ndim == 1
         x = self.features(t)
         flat = np.concatenate(
@@ -140,10 +146,8 @@ def fit_linear(treatments: TreatmentMatrix, y) -> GaussianOutcome:
     whose SingularFitError names the dependent columns (a constant or
     duplicated column, say).
     """
-    y = as_vector(y, "y")
+    y = treatments._response(y)
     n, k = treatments.n, treatments.k
-    if y.shape[0] != n:
-        raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     if n <= k + 1:
         raise DimensionError(f"need n > k+1 rows for OLS, got n={n}, k={k}")
     t = treatments.data
@@ -194,10 +198,8 @@ def _probit_mle(treatments: TreatmentMatrix, y, beta, max_iter: int = 100,
     the caller of the public function that called this one."""
     from scipy.special import log_ndtr  # imported on use: a slow import
 
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = treatments._response(y)
     n = treatments.n
-    if y.shape[0] != n:
-        raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     vals = np.unique(y)
     if not np.all(np.isin(vals, (0.0, 1.0))) or vals.size != 2:
         raise InputFormatError("probit outcome must be binary with both classes present")
@@ -269,10 +271,8 @@ def fit_empirical(treatments: TreatmentMatrix, y, degree: int = 2, mean_fn=None)
     since the effective degrees of freedom of a pluggable regressor are
     unknown.
     """
-    y = as_vector(y, "y")
+    y = treatments._response(y)
     n = treatments.n
-    if y.shape[0] != n:
-        raise DimensionError(f"y has length {y.shape[0]}, expected {n}")
     if mean_fn is None:
         if degree < 1:
             raise InputFormatError(f"polynomial degree must be at least 1, got {degree}")

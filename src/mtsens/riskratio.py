@@ -20,10 +20,10 @@ import warnings
 
 import numpy as np
 
-from ._linalg import _BLOCK_ENTRIES, as_vector
+from ._linalg import _BLOCK_ENTRIES, as_r2, as_vector, check_length
 from .bounds import IgnoranceRegion, RobustnessValue
 from .copula import CDF_CLAMP, SensitivitySpec
-from .errors import CalibrationError, DegenerateModelError, DimensionError, InputFormatError
+from .errors import DegenerateModelError, DimensionError, InputFormatError
 from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
 from .outcome import _SQRT_2PI, BinaryOutcome
 
@@ -58,22 +58,14 @@ def _linear_predictor(bin_out: BinaryOutcome, t: np.ndarray, stacklevel: int) ->
 
 def _endpoint(t, name, cc, bin_out, observed, basis, depth):
     """Probit index eta at t and the shift matrix (T_obs - t) coef' basis, so
-    that P(Y=1 | do(t)) = mean Phi(eta + shift @ x) at coordinates x. depth
-    counts the frames from here up to the public function, whose caller the
-    clamp warning names."""
-    t = as_vector(t, name)
-    for what, k in ((name, t.shape[0]), ("observed treatments", observed.k),
-                    ("probit_coef", bin_out.k)):
-        if k != cc.k:
-            raise DimensionError(f"{what} has dimension {k}, expected k = {cc.k}")
+    that P(Y=1 | do(t)) = mean Phi(eta + shift @ x) at coordinates x. t, the
+    panel and the outcome share cc's k (check_length). depth counts the
+    frames from here up to the public function, whose caller the clamp
+    warning names."""
+    t = as_vector(t, name, length=cc.k)
+    check_length("panel row", observed.k, cc.k)
+    check_length("outcome slope vector", bin_out.k, cc.k)
     return _linear_predictor(bin_out, t, depth + 3), (observed.data - t) @ (cc.coef.T @ basis)
-
-
-def _confounder_vector(v, what: str, cc: ConditionalConfounder) -> np.ndarray:
-    v = as_vector(v, what)
-    if v.shape[0] != cc.m:
-        raise DimensionError(f"{what} has dimension {v.shape[0]}, expected m = {cc.m}")
-    return v
 
 
 def rr_single(
@@ -86,9 +78,9 @@ def rr_single(
     """P(Y=1 | do(T=t)) / P(Y=1) under the Gaussian-copula model."""
     from scipy.special import ndtr  # imported on use: a slow import
 
-    gamma = _confounder_vector(spec.gamma, "gamma", cc)
+    check_length("gamma", spec.m, cc.m)
     eta, shift = _endpoint(t, "t", cc, bin_out, observed, np.eye(cc.m), 1)
-    return float(np.mean(ndtr(eta + shift @ gamma))) / bin_out.p_y1
+    return float(np.mean(ndtr(eta + shift @ spec.gamma))) / bin_out.p_y1
 
 
 def rr_contrast(
@@ -100,8 +92,8 @@ def rr_contrast(
 ) -> float:
     """Risk ratio P(Y=1 | do(t1)) / P(Y=1 | do(t2)); the marginal p_y1
     cancels exactly."""
-    gamma = _confounder_vector(spec.gamma, "gamma", cc)
-    rr = float(_RrEvaluator(c, cc, bin_out, observed, np.eye(cc.m)).rr(gamma)[0])
+    check_length("gamma", spec.m, cc.m)
+    rr = float(_RrEvaluator(c, cc, bin_out, observed, np.eye(cc.m)).rr(spec.gamma)[0])
     if math.isinf(rr):
         raise ZeroDivisionError("denominator intervention probability is zero")
     return rr
@@ -174,13 +166,14 @@ def rr_curve(
     signed_r2_grid=None,
 ) -> list[tuple[float, float]]:
     """Risk ratio along a signed-R2 sweep in a fixed confounder direction:
-    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d, from cc.roots."""
+    gamma = sign(r2) sqrt(|r2|) Sigma^{-1/2} d, from cc.roots. d must have
+    cc's m (check_length)."""
     if signed_r2_grid is None:
         signed_r2_grid = np.linspace(-1.0, 1.0, 201)
     grid = np.asarray(signed_r2_grid, dtype=float)
     if grid.ndim != 1:
         raise DimensionError(f"signed_r2_grid must be 1-d, got shape {grid.shape}")
-    direction = _confounder_vector(direction, "direction", cc)
+    direction = as_vector(direction, "direction", length=cc.m)
     ev = _RrEvaluator(c, cc, bin_out, observed)
     mag = np.abs(grid)
     nonzero = np.flatnonzero(mag)
@@ -267,8 +260,9 @@ def _ball_extremes(ev: _RrEvaluator, points: np.ndarray, radius: float):
     way.
 
     Returns (min value, argmin), (max value, argmax) and whether some
-    polish converged in each direction. Every reported value is rr at a
-    point of the ball.
+    polish converged in each direction. Each reported value is ev.rr of
+    its returned point alone, bit for bit: a batched product may round the
+    same point differently.
     """
     points = np.unique(points, axis=0)
     vals = ev.rr(points)
@@ -277,9 +271,8 @@ def _ball_extremes(ev: _RrEvaluator, points: np.ndarray, radius: float):
     for sign, starts in ((1.0, order[:_N_POLISH]), (-1.0, order[::-1][:_N_POLISH])):
         polished = [_newton_polish(ev, points[i], radius, sign) for i in starts]
         ends = np.array([z for z, _ in polished])
-        ends_v = ev.rr(ends)
-        best = int(np.argmin(sign * ends_v))
-        found.append((float(ends_v[best]), ends[best]))
+        best = ends[int(np.argmin(sign * ev.rr(ends)))]
+        found.append((float(ev.rr(best)[0]), best))
         stable &= any(ok for _, ok in polished)
     return found[0], found[1], stable
 
@@ -305,8 +298,7 @@ def rr_ignorance_region(
     be a nonnegative integer (0 searches from the centre only), else
     InputFormatError. A singular Sigma raises DegenerateModelError.
     """
-    if not (0.0 <= r2_cap <= 1.0):
-        raise CalibrationError(f"r2_cap = {r2_cap:.6g} outside [0, 1]")
+    as_r2(r2_cap, "r2_cap")
     if (isinstance(n_restarts, bool) or not isinstance(n_restarts, (int, np.integer))
             or n_restarts < 0):
         raise InputFormatError(f"n_restarts must be a nonnegative integer, got {n_restarts!r}")

@@ -48,17 +48,13 @@ class SimTruth:
 
     def __post_init__(self):
         b = as_vector(self.b_true, "b_true", ndim=2)
-        gamma = as_vector(self.gamma_true, "gamma_true")
-        if gamma.shape[0] != b.shape[1]:
-            raise DimensionError("gamma_true length must match the factor count")
+        gamma = as_vector(self.gamma_true, "gamma_true", length=b.shape[1])
         for name in ("sigma2_t_given_u", "sigma2_y_given_tu"):
             object.__setattr__(self, name, as_scalar(getattr(self, name), name, positive=True))
         as_scalar(self.seed, "seed")
         tau = self.tau_true
         if not isinstance(tau, str):
-            tau = as_vector(tau, "tau_true")
-            if tau.shape[0] != b.shape[0]:
-                raise DimensionError("tau_true length must match the treatment count")
+            tau = as_vector(tau, "tau_true", length=b.shape[0])
         elif self.mean_fn is None:
             raise DimensionError("a tagged response surface needs mean_fn")
         object.__setattr__(self, "b_true", b)
@@ -128,10 +124,19 @@ class SimData(NamedTuple):
     truth: SimTruth
 
 
+def _check_sizes(n: int, k: int = 1, m: int = 1) -> None:
+    """DimensionError unless n >= 2 rows, k >= 1 treatments and m >= 1
+    confounders, the smallest panel and model a generator can draw."""
+    for name, value, low in (("n", n, 2), ("k", k, 1), ("m", m, 1)):
+        if value < low:
+            raise DimensionError(f"{name} = {value} must be at least {low}")
+
+
 def gen_linear_gaussian(truth: SimTruth, n: int) -> SimData:
     """U ~ N(0, I), T = BU + eps_t, Y = tau'T + gamma'U + eps_y."""
     if isinstance(truth.tau_true, str):
         raise DimensionError("gen_linear_gaussian needs a linear tau_true vector")
+    _check_sizes(n, truth.k, truth.m)
     rng = np.random.default_rng(truth.seed)
     u = rng.standard_normal(size=(n, truth.m))
     eps_t = rng.standard_normal(size=(n, truth.k))
@@ -167,6 +172,7 @@ def _nonlinear_g(t: np.ndarray) -> np.ndarray:
 def gen_nonlinear(n: int, binary_y: bool = False, seed: int = 0) -> SimData:
     """Four correlated treatments driven by one confounder, with a kinked
     quadratic response; optionally thresholded to a binary outcome."""
+    _check_sizes(n)
     truth = SimTruth(
         b_true=NONLINEAR_B[:, None],
         sigma2_t_given_u=1.0,
@@ -197,6 +203,7 @@ def gen_gwas(
     Bernoulli(1/2)), most causal effects are near-null, and a confounder
     loading on the first factor inflates every naive estimate.
     """
+    _check_sizes(n, k, m)
     if not (0.0 <= frac_large <= 1.0):
         raise DimensionError("frac_large must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -231,7 +238,10 @@ def rotation_sweep(
 ) -> list[tuple[float, float]]:
     """Worst-case bias along delta(theta) = cos(theta) u1 + sin(theta) n0,
     rotating the contrast from the top factor direction into the loading
-    null space; the bound falls from its global maximum to exactly zero."""
+    null space; the bound falls from its global maximum to exactly zero.
+    n_theta must be at least 2, the two ends."""
+    if n_theta < 2:
+        raise DimensionError(f"n_theta = {n_theta} must be at least 2")
     cc = conditional_confounder(fm_true)
     u_mat, _, _ = np.linalg.svd(fm_true.b_hat, full_matrices=False)
     u1 = u_mat[:, 0]

@@ -952,6 +952,198 @@ def test_corrupted_model_files_exit_0_2_or_3(small_models, tmp_path_factory, dat
                 assert math.isfinite(rec["naive"]) and math.isfinite(rec["rv"]), rec
 
 
+@pytest.fixture(scope="module")
+def small_panel(tmp_path_factory):
+    """A 60-row panel of k = 4 treatments and a binary y, as the CSV's table
+    lines, with gaussian and probit model files fitted to it (m = 1)."""
+    root = tmp_path_factory.mktemp("panel")
+    argv = ["simulate", "--preset", "nonlinear-binary", "--n", "60", "--seed", "5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out-dir", str(root)]) == 0
+        csv_path = root / "nonlinear-binary_data.csv"
+        for kind in ("gaussian", "probit"):
+            assert main(["fit", "--treatments", str(csv_path), "--outcome", "y", "--m", "1",
+                         "--outcome-kind", kind, "--out-dir", str(root / kind)]) == 0
+    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+    return {"csv": csv_path, "lines": lines, "gaussian": root / "gaussian",
+            "probit": root / "probit"}
+
+
+def _exit_0_2_or_3(argv):
+    """main(argv), which must not raise; the exit code is 0, 2 or 3, and a
+    nonzero one comes with a JSON {"error", "message"} on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), (argv, err.getvalue())
+    if rc != 0:
+        payload = json.loads(err.getvalue().strip().splitlines()[-1])
+        assert set(payload) == {"error", "message"}, argv
+    return rc
+
+
+_CSV_CORRUPTIONS = ("ragged", "nan", "inf", "1e400", "word", "empty_name", "repeated_name",
+                    "no_header", "bom", "hash", "quoted", "empty")
+
+
+def _corrupted_csv(lines, corruption, row, col):
+    """The text of a table (a header and data lines) with one corruption at
+    data row row (1-based; 0 is the header) and column col."""
+    rows = [ln.split(",") for ln in lines]
+    if corruption == "empty":
+        return ""
+    if corruption == "no_header":
+        rows = rows[1:]
+    elif corruption == "ragged":
+        rows[row] = rows[row][:-1]
+    elif corruption in ("empty_name", "repeated_name"):
+        rows[0][col] = "" if corruption == "empty_name" else rows[0][col - 1]
+    elif corruption != "bom":
+        cell = rows[row][col]
+        rows[row][col] = {"word": "abc", "hash": cell + "#1",
+                          "quoted": f'"{cell}"'}.get(corruption, corruption)
+    text = "\n".join(",".join(r) for r in rows) + "\n"
+    return "\ufeff" + text if corruption == "bom" else text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_corrupted_csv_exit_0_2_or_3(small_panel, tmp_path_factory, data):
+    # one corruption of the panel: fit, calibrate, rr, proxy (on its first
+    # three columns) and mcc --treatments never raise, and a refused table
+    # exits 2 with a JSON error
+    lines = small_panel["lines"]
+    corruption = data.draw(st.sampled_from(_CSV_CORRUPTIONS))
+    row = data.draw(st.integers(1, len(lines) - 1))
+    col = data.draw(st.integers(0, 4))
+    root = tmp_path_factory.mktemp("csv")
+    panel, proxy = root / "panel.csv", root / "proxy.csv"
+    panel.write_text(_corrupted_csv(lines, corruption, row, col), encoding="utf-8")
+    three = [",".join(ln.split(",")[:3]) for ln in lines]
+    proxy.write_text(_corrupted_csv(three, corruption, row, min(col, 2)), encoding="utf-8")
+    rcs = [_exit_0_2_or_3(argv) for argv in (
+        ["fit", "--treatments", str(panel), "--outcome", "y", "--m", "1",
+         "--out-dir", str(root / "fit")],
+        ["calibrate", "--treatments", str(panel), "--outcome", "y",
+         "--out", str(root / "cal.tsv")],
+        ["rr", "--models", str(small_panel["probit"]), "--treatments", str(panel),
+         "--outcome", "y", "--contrast", "e1", "--grid=-0.5:0.5:5",
+         "--out", str(root / "rr.tsv")],
+        ["proxy", "--data", str(proxy), "--out", str(root / "proxy.json")],
+        ["mcc", "--models", str(small_panel["gaussian"]), "--treatments", str(panel),
+         "--outcome", "y", "--out-dir", str(root / "mcc")],
+    )]
+    if corruption in ("ragged", "nan", "inf", "1e400", "word", "empty_name", "hash",
+                      "empty"):
+        # mcc reads the header row only
+        assert rcs[:4] == [2, 2, 2, 2] and (rcs[4] == 2) == (corruption in (
+            "empty_name", "empty")), rcs
+    elif corruption in ("bom", "quoted"):
+        assert rcs == [0] * 5, rcs
+
+
+_BAD_SPECS = ("nan", "inf", "1e400", "-0.5", "1.5", "a", "", ",", "0:1", "0:1:1",
+              "0:1:0", "0:1:-3", "0:1:x", "1:0:3", "0:2:3", "-2:2:5", "0:1:201")
+
+
+def _option_cases():
+    """(id, argv builder) for every option value of the fuzz: unit contrasts
+    e-1, e0, ek and ek+1, point files of the wrong length, r2, grid and
+    sigma_u2 specs, --m and --degree values, and simulator sizes."""
+    cases = []
+    for cmd in ("bounds", "rv", "rr"):
+        for j in (-1, 0, 4, 5):
+            cases.append((f"{cmd}-e{j}", cmd, ["--contrast", f"e{j}"]))
+        for pair in ("ok,short", "long,ok", "ok,two_rows", "ok,ok"):
+            cases.append((f"{cmd}-points-{pair}", cmd, ["--contrast", pair]))
+    for spec in _BAD_SPECS:
+        cases.append((f"bounds-r2={spec}", "bounds", ["--contrast", "e1", f"--r2={spec}"]))
+        cases.append((f"rr-grid={spec}", "rr", ["--contrast", "e1", f"--grid={spec}"]))
+        cases.append((f"proxy-sigma-u2={spec}", "proxy", [f"--sigma-u2={spec}"]))
+    for m in (-1, 0, 4, 5):
+        cases.append((f"fit-m={m}", "fit", ["--m", str(m)]))
+    for degree in range(-1, 7):
+        cases.append((f"fit-degree={degree}", "fit",
+                      ["--m", "1", "--outcome-kind", "empirical", "--degree", str(degree)]))
+    sizes = [("gwas", n, 5, 2) for n in (-5, -1, 0, 1, 2)]
+    sizes += [("gwas", 5, k, 1) for k in (-1, 0, 1)]
+    sizes += [("gwas", 5, 5, m) for m in (-1, 0, 5, 6)]
+    sizes += [(p, n, 5, 2) for p in ("linear", "nonlinear", "nonlinear-binary")
+              for n in (-3, 0, 1, 2)]
+    for preset, n, k, m in sizes:
+        cases.append((f"simulate-{preset}-n{n}-k{k}-m{m}", "simulate",
+                      ["--preset", preset, "--n", str(n), "--k", str(k), "--m", str(m)]))
+    for n_theta in (-2, 0, 1, 2):
+        cases.append((f"simulate-rotation-n-theta{n_theta}", "simulate",
+                      ["--preset", "rotation", "--n-theta", str(n_theta)]))
+    return cases
+
+
+@pytest.mark.parametrize("command, extra", [c[1:] for c in _option_cases()],
+                         ids=[c[0] for c in _option_cases()])
+def test_bad_options_exit_0_2_or_3(small_panel, tmp_path, command, extra):
+    csv_path = str(small_panel["csv"])
+    points = {"ok": "t1,t2,t3,t4\n1,0,0,0\n", "short": "t1,t2,t3\n1,0,0\n",
+              "long": "t1,t2,t3,t4,t5\n1,0,0,0,0\n", "two_rows": "t1,t2,t3,t4\n1,0,0,0\n0,0,0,0\n"}
+    for name, text in points.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    if extra[:1] == ["--contrast"] and "," in extra[1]:
+        extra = ["--contrast", ",".join(str(tmp_path / f"{p}.csv") for p in extra[1].split(","))]
+    base = {
+        "bounds": ["--models", str(small_panel["gaussian"])],
+        "rv": ["--models", str(small_panel["gaussian"])],
+        "rr": ["--models", str(small_panel["probit"]), "--treatments", csv_path,
+               "--outcome", "y"],
+        "proxy": ["--data", str(tmp_path / "proxy.csv")],
+        "fit": ["--treatments", csv_path, "--outcome", "y", "--out-dir", str(tmp_path / "m")],
+        "simulate": ["--out-dir", str(tmp_path / "sim")],
+    }[command]
+    if command == "proxy":
+        rows = small_panel["lines"]
+        (tmp_path / "proxy.csv").write_text(
+            "\n".join(",".join(ln.split(",")[:3]) for ln in rows) + "\n")
+    out = [] if command in ("fit", "simulate") else ["--out", str(tmp_path / "out")]
+    rc = _exit_0_2_or_3([command] + base + extra + out)
+    if command == "simulate":
+        sizes = dict(zip(extra[2::2], map(int, extra[3::2])))
+        refused = min(sizes.get("--n", 2), sizes.get("--n-theta", 2)) < 2 or (
+            extra[1] == "gwas" and min(sizes["--k"], sizes["--m"]) < 1)
+        assert rc == (2 if refused else 0)
+
+
+def test_calibrate_probit_table_is_the_per_column_implicit_r2(small_panel, tmp_path, capsys):
+    out = tmp_path / "cal.tsv"
+    rc, _, err = _run(["calibrate", "--treatments", str(small_panel["csv"]), "--outcome", "y",
+                       "--outcome-kind", "probit", "--out", str(out)], capsys)
+    assert rc == 0, err
+    rows = [ln.split("\t") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    data = np.loadtxt(small_panel["lines"][1:], delimiter=",")
+    tm, y = TreatmentMatrix(data[:, :4]), data[:, 4]
+    model = mtsens.fit_probit(tm, y)
+    expected = [mtsens.implicit_r2(tm, y, model, j) for j in range(4)]
+    assert rows[0] == ["column", "partial_r2"]
+    assert [r[0] for r in rows[1:]] == ["t1", "t2", "t3", "t4"]
+    assert [float(r[1]) for r in rows[1:]] == expected
+
+
+def test_simulate_rotation_is_the_rotation_sweep(tmp_path, capsys):
+    rc, _, err = _run(["simulate", "--preset", "rotation", "--r2-cap", "0.5", "--n-theta", "9",
+                       "--out-dir", str(tmp_path)], capsys)
+    assert rc == 0, err
+    text = (tmp_path / "rotation.tsv").read_text().splitlines()
+    rows = [ln.split("\t") for ln in text if not ln.startswith("#")]
+    assert rows[0] == ["theta", "bound"]
+    table = [(float(a), float(b)) for a, b in rows[1:]]
+    fm = mtsens.FactorModel(b_hat=cli.LINEAR_PRESET_B, sigma2_t_given_u=1.0, m=1,
+                            singular_values=np.linalg.svd(cli.LINEAR_PRESET_B,
+                                                          compute_uv=False))
+    assert table == mtsens.rotation_sweep(fm, 1.0, 0.5, n_theta=9)
+    bounds = [b for _, b in table]
+    assert bounds[0] == max(bounds) > 0.0
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    assert bounds[-1] <= 1e-12 * bounds[0]
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate", "rv"])
 def test_invalid_utf8_exit_2_names_the_file(linear_models, tmp_path, capsys, command):
     # bytes that are not UTF-8 in a data row, in a header and in a model file

@@ -182,6 +182,29 @@ def test_gwas_frac_validation():
         gen_gwas(n=100, k=10, frac_large=1.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_gwas(n=5, k=5, m=0),
+        lambda: gen_gwas(n=5, k=5, m=-1),
+        lambda: gen_gwas(n=5, k=0, m=1),
+        lambda: gen_gwas(n=1, k=5, m=1),
+        lambda: gen_gwas(n=-5, k=5, m=1),
+        lambda: gen_linear_gaussian(_truth(), 1),
+        lambda: gen_linear_gaussian(_truth(), -3),
+        lambda: gen_nonlinear(0),
+        lambda: gen_nonlinear(-3, binary_y=True),
+    ],
+    ids=["gwas-m0", "gwas-m-1", "gwas-k0", "gwas-n1", "gwas-n-5", "linear-n1", "linear-n-3",
+         "nonlinear-n0", "nonlinear-binary-n-3"],
+)
+def test_generators_refuse_sizes_below_the_smallest_panel(call):
+    # m = 0 raised IndexError and a negative size numpy's ValueError
+    with pytest.raises(DimensionError, match="must be at least"):
+        call()
+    assert gen_gwas(n=2, k=1, m=1).treatments.data.shape == (2, 1)
+
+
 def test_rotation_sweep_endpoints():
     fm = FactorModel(
         b_hat=B_K4,
