@@ -11,20 +11,18 @@ alone: one covariance rule, one eigendecomposition and one rank rule
 matrix is valid, when it is singular and, through PsdRoots.leaves_row_space,
 when a vector escapes its row space.
 
-Every least-squares fit regresses on a design with an intercept,
-[1, t], and takes one path, lstsq: the centered Gram t_c't_c / n of
-_moments (the matrix the factor model factors too, which a TreatmentMatrix
-caches and hands over as moments), certified by certified_gram, by dpocon
-estimates on the equilibrated Gram (rcond > sqrt(eps) for accuracy, and
-the condition rule of _full_rank on its square root, since kappa(x'x) =
-kappa(x)^2, for the verdict), plus one refinement step; without the
-certificate, one pivoted QR of [1, t] with one rank rule (|R_ii| >
-max|R_ii| * max(n, p) * eps) decides. fit_linear, fit_proxy (through
-full_rank_lstsq, which names the dependent columns), benchmark_table and
-partial_r2_treatment call lstsq; fit_empirical calls its certified step,
-gram_lstsq, else an SVD for the minimum-norm solution. The probit Newton
-step solves its Hessian by certified_cholesky_solve, under the same
-_full_rank rule.
+Every Cholesky certificate is the dpocon estimate rcond of one
+equilibrated matrix, D^-1 a D^-1 with D = diag(a)^1/2, that
+_equilibrated_cholesky computes, so no verdict depends on column units:
+certified_gram judges a centered Gram by it (rcond > sqrt(eps), and the
+rule of _full_rank on sqrt(rcond) d_min / d_max), certified_cholesky_solve
+the probit Newton step's Hessian (the rule of _full_rank on rcond). Every
+least-squares fit, on [1, t], takes one path, lstsq: the certified Gram of
+_moments (a TreatmentMatrix's cached moments) and one refinement step,
+else one pivoted QR with one rank rule (|R_ii| > max|R_ii| max(n, p) eps).
+fit_linear, fit_proxy (through full_rank_lstsq, which names the dependent
+columns), benchmark_table and partial_r2_treatment call lstsq; fit_empirical
+calls gram_lstsq, else an SVD for the minimum-norm solution.
 """
 from __future__ import annotations
 
@@ -214,38 +212,48 @@ def _full_rank(rcond: float, n: int, p: int) -> bool:
     return rcond > 20 * p * max(n, p) * np.finfo(float).eps
 
 
-def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
-    """The solution of a x = b for a symmetric positive definite p x p
-    matrix a = X'WX formed from n rows, by a Cholesky factorization that a
-    dpocon estimate certifies as full rank under the rule of _full_rank;
-    None when dpotrf fails or the certificate does."""
+def _equilibrated_cholesky(a: np.ndarray):
+    """(c, d, rcond): the upper Cholesky factor of a symmetric a, c'c = a, the
+    diagonal d of D = diag(a)^1/2 and the dpocon rcond of D^-1 a D^-1, whose
+    condition bounds the Cholesky errors whatever the column scales (van der
+    Sluis 1969); None when D has a zero, or dpotrf or dpocon fails."""
     from scipy.linalg import lapack  # imported on use: a slow import
 
+    d = np.sqrt(np.diag(a).clip(0.0))
+    if not d.all():
+        return None
     c, info = lapack.dpotrf(a)
     if info != 0:
         return None
-    rcond, info = lapack.dpocon(c, np.linalg.norm(a, 1))
-    if info != 0 or not _full_rank(rcond, n, a.shape[0]):
+    rcond, info = lapack.dpocon(c / d, np.linalg.norm(a / np.outer(d, d), 1))
+    return None if info != 0 else (c, d, rcond)
+
+
+def certified_cholesky_solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
+    """The solution of a x = b for a positive definite a = X'WX of n rows
+    by dpotrs, when the rcond of _equilibrated_cholesky passes the rule of
+    _full_rank, a verdict free of the units of the columns of X; else None."""
+    from scipy.linalg import lapack  # imported on use: a slow import
+
+    fac = _equilibrated_cholesky(a)
+    if fac is None or not _full_rank(fac[2], n, a.shape[0]):
         return None
-    return lapack.dpotrs(c, b)[0]
+    return lapack.dpotrs(fac[0], b)[0]
 
 
 def certified_gram(g: np.ndarray, n: int) -> np.ndarray | None:
-    """The upper Cholesky factor c of the covariance g = x_c'x_c / n of the
-    centered columns x_c of an n-row design, c'c = g, when a dpocon
-    estimate rcond of the equilibrated G_s = D^-1 g D^-1, D = diag(g)^1/2,
-    whose factor is c D^-1, certifies the design x = [1, x_c]; None
-    otherwise, and before equilibrating when D has a zero (a constant
-    column). The Gram of x over n, blockdiag(1, g), equilibrates to
-    blockdiag(1, G_s), whose rcond is that of G_s, and a positive multiple
-    of g certifies as g does.
+    """The upper Cholesky factor c, c'c = g, of the covariance g = x_c'x_c / n
+    of the centered columns of an n-row design, when the rcond of
+    _equilibrated_cholesky on G_s = D^-1 g D^-1 certifies x = [1, x_c];
+    else None (a zero in D is a constant column). blockdiag(1, g), the Gram
+    of x over n, equilibrates to blockdiag(1, G_s), of the same rcond, and a
+    positive multiple of g certifies as g does.
     - Accuracy: rcond > sqrt(eps). Forming g and factoring it err by eps
       relative to the columns of x, so the error of a normal-equations
-      solve per unit-norm column follows kappa(G_s), whatever the column
-      scales (van der Sluis 1969). The first solve errs by about
-      kappa(G_s) eps relative, and a refinement step multiplies that error
-      by about kappa(G_s) eps, so kappa(G_s) < 1/sqrt(eps) leaves it at
-      rounding level, as accurate as a QR solve.
+      solve per unit-norm column follows kappa(G_s). The first solve errs
+      by about kappa(G_s) eps relative, and a refinement step multiplies
+      that error by about kappa(G_s) eps, so kappa(G_s) < 1/sqrt(eps)
+      leaves it at rounding level, as accurate as a QR solve.
     - Verdict: sqrt(rcond) d_min / d_max, over the diagonal d of D and the
       intercept's d = 1, passes the rule of _full_rank for the p columns
       of x. kappa_2(x'x) <= kappa_2(G_s) kappa_2(D)^2 and, G_s being
@@ -257,20 +265,12 @@ def certified_gram(g: np.ndarray, n: int) -> np.ndarray | None:
       n and p. Without the factor d_min / d_max it would not: a column
       1e-14 times the others passes the scale-free accuracy rule, and the
       pivoted rule names it as dependent."""
-    from scipy.linalg import lapack  # imported on use: a slow import
-
-    d = np.sqrt(np.diag(g))
-    if not d.all():
+    fac = _equilibrated_cholesky(g)
+    if fac is None or fac[2] <= np.sqrt(np.finfo(float).eps):
         return None
-    c, info = lapack.dpotrf(g)
-    if info != 0:
-        return None
-    rcond, info = lapack.dpocon(c / d, np.linalg.norm(g / np.outer(d, d), 1))
+    c, d, rcond = fac
     d = np.append(d, 1.0)
-    verdict = _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, d.size)
-    if info != 0 or rcond <= np.sqrt(np.finfo(float).eps) or not verdict:
-        return None
-    return c
+    return c if _full_rank(np.sqrt(rcond) * d.min() / d.max(), n, d.size) else None
 
 
 def _moments(t: np.ndarray):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import _BLOCK_ENTRIES, PsdRoots, as_points, as_r2, as_vector, check_length, psd_roots
 from .errors import CalibrationError, DegenerateModelError, InputFormatError, InvalidCopulaError
-from .factor import ConditionalConfounder, Contrast, TreatmentMatrix
+from .factor import ConditionalConfounder, Contrast, TreatmentMatrix, _as_map
 from .outcome import EmpiricalOutcome, GaussianOutcome, _quantile_type7, conditional_cdf_quantile
 
 CDF_CLAMP = 1e-15
@@ -91,15 +91,23 @@ class SensitivitySpec:
         gamma = np.sqrt(r2) * (roots.inv_root @ direction)
         return cls(gamma=gamma, r2=r2, direction=direction)
 
-    def transformed(self, a: np.ndarray) -> "SensitivitySpec":
-        """The equivalent gamma after reparameterizing the confounder by SPD A.
+    def transformed(self, a: np.ndarray, sigma_u_given_t) -> "SensitivitySpec":
+        """The equivalent spec after reparameterizing the confounder by an
+        invertible m x m A (_as_map), for the Sigma of the spec's present
+        coordinates (check_length).
 
-        With (coef, Sigma) -> (A coef, A Sigma A'), the copula is preserved
-        by gamma -> A^{-1} gamma (A symmetric, m x m).
+        With (coef, Sigma) -> (A coef, A Sigma A'), gamma -> A^-T gamma keeps
+        gamma' mu_u and gamma' Sigma gamma, so the copula and r2; direction
+        is recomputed on A Sigma A'.
         """
-        a = as_vector(a, "a", ndim=2, length=self.m)
-        gamma_t = np.linalg.solve(a, self.gamma)
-        return SensitivitySpec(gamma=gamma_t, r2=self.r2, direction=self.direction)
+        a = _as_map(a, self.m)
+        roots = psd_roots(sigma_u_given_t)
+        check_length("sigma_u_given_t", roots.matrix.shape[0], self.m)
+        gamma = np.linalg.solve(a.T, self.gamma)
+        direction = self.direction
+        if self.r2 > 0.0:
+            direction = psd_roots(a @ roots.matrix @ a.T).root @ gamma / math.sqrt(self.r2)
+        return SensitivitySpec(gamma=gamma, r2=self.r2, direction=direction)
 
 
 @dataclass(frozen=True)

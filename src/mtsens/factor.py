@@ -55,8 +55,16 @@ class TreatmentMatrix:
         return means, cov
 
     def _response(self, y) -> np.ndarray:
-        """y as a finite vector with one entry per row (as_vector)."""
-        return as_vector(y, "y", length=self.n)
+        """y as a finite vector with one entry per row (as_vector) whose sum
+        of squares about its mean, which bounds every residual sum of
+        squares of a fit on the panel, does not overflow (else
+        InputFormatError)."""
+        y = as_vector(y, "y", length=self.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = float(np.sum((y - y.mean()) ** 2))
+        if not math.isfinite(spread):
+            raise InputFormatError("the variance of y overflows; rescale it")
+        return y
 
     @property
     def n(self) -> int:
@@ -114,6 +122,19 @@ class FactorModel:
         return self.b_hat.shape[0]
 
 
+def _as_map(a, m: int) -> np.ndarray:
+    """The one rule for a map a of the m confounder coordinates, shared by
+    ConditionalConfounder.reparameterized and SensitivitySpec.transformed:
+    a finite m x m array (as_vector), invertible, its smallest singular
+    value above m eps times its largest (numpy's matrix_rank cutoff), else
+    DegenerateModelError."""
+    a = as_vector(a, "a", ndim=2, length=m)
+    s = np.linalg.svd(a, compute_uv=False)  # descending
+    if not s[-1] > s[0] * m * np.finfo(float).eps:
+        raise DegenerateModelError("the map a is singular, so it is no change of coordinates")
+    return a
+
+
 @dataclass(frozen=True)
 class ConditionalConfounder:
     """Conditional confounder law U | T=t ~ N(coef (t - means), sigma_u_given_t).
@@ -167,9 +188,9 @@ class ConditionalConfounder:
         return (t - self.treatment_means) @ self.coef.T
 
     def reparameterized(self, a: np.ndarray) -> "ConditionalConfounder":
-        """Equivalent representation (A coef, A Sigma A^T) for invertible
-        m x m A."""
-        a = as_vector(a, "a", ndim=2, length=self.m)
+        """Equivalent representation (A coef, A Sigma A^T) for an invertible
+        m x m A (_as_map); SensitivitySpec.transformed maps gamma with it."""
+        a = _as_map(a, self.m)
         return ConditionalConfounder(
             coef=a @ self.coef,
             sigma_u_given_t=a @ self.sigma_u_given_t @ a.T,

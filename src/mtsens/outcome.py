@@ -174,9 +174,11 @@ def fit_probit(treatments: TreatmentMatrix, y, max_iter: int = 100, tol: float =
     With s = 2y - 1 and margins m = s * (b0 + t'b), the log-likelihood is
     sum log_ndtr(m), so 1 - Phi is never formed by subtraction and nothing
     is clipped. The inverse Mills ratio lam = phi(m) / Phi(m) gives the score
-    X'(s lam) and the observed Hessian X' diag(lam (lam + m)) X, which a
-    certified Cholesky factorization solves (np.linalg.lstsq's minimum-norm
-    step without the certificate, so duplicated columns split equally).
+    X'(s lam) and the observed Hessian H = X' diag(lam (lam + m)) X. A step
+    solves H by Cholesky when the one certificate of least squares, the
+    condition estimate of the equilibrated D^-1 H D^-1, D = diag(H)^1/2,
+    passes, so no step is judged by the units of the columns; without it,
+    np.linalg.lstsq's minimum-norm step, so duplicated columns split equally.
     Armijo backtracking on the exact log-likelihood damps each step; once the
     Newton decrement is below the likelihood's rounding level the full step
     is taken. The fit stops when max |score| < tol and warns at max_iter.

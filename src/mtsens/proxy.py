@@ -7,6 +7,7 @@ sigma_u2 = Var(U) lives in (0, 1]: U explains at most all of the proxy.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -15,6 +16,7 @@ import numpy as np
 from ._linalg import as_scalar, as_vector, full_rank_lstsq
 from .bounds import IgnoranceRegion
 from .errors import DegenerateModelError, DimensionError, PositivityError
+from .factor import TreatmentMatrix
 
 DOMAIN_EPS = 1e-9
 
@@ -55,10 +57,14 @@ def fit_proxy(y, t, z) -> ProxyFit:
         raise DimensionError("y, t, z must have equal length")
     if n < 4:
         raise DimensionError("proxy fit needs at least 4 observations")
-    z_sd = float(np.std(z))
+    # the panel [t, z] refuses a t, z or y whose variance overflows
+    panel = TreatmentMatrix(np.column_stack([t, z]))
+    y = panel._response(y)
+    means, cov = panel.moments
+    z_sd = math.sqrt(cov[1, 1])
     if z_sd <= 0:
         raise DegenerateModelError("proxy has zero variance")
-    z = (z - z.mean()) / z_sd
+    z = (z - means[1]) / z_sd
 
     coef_t = full_rank_lstsq(z[:, None], t, ["z"])
     resid_t = t - coef_t[0] - coef_t[1] * z

@@ -244,7 +244,7 @@ def test_criterion_4_equivalence_class_invariance(capsys):
             r = rng.normal(size=(2, 2))
             a = r @ r.T + 0.3 * np.eye(2)
             cc2 = cc.reparameterized(a)
-            spec2 = spec.transformed(a)
+            spec2 = spec.transformed(a, cc.sigma_u_given_t)
             assert worst_case_bias(cc2, sigma, 0.45, c) == pytest.approx(
                 base_wb, rel=1e-8
             )

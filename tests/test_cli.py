@@ -982,8 +982,8 @@ def _exit_0_2_or_3(argv):
     return rc
 
 
-_CSV_CORRUPTIONS = ("ragged", "nan", "inf", "1e400", "word", "empty_name", "repeated_name",
-                    "no_header", "bom", "hash", "quoted", "empty")
+_CSV_CORRUPTIONS = ("ragged", "nan", "inf", "1e400", "1e200", "word", "empty_name",
+                    "repeated_name", "no_header", "bom", "hash", "quoted", "empty")
 
 
 def _corrupted_csv(lines, corruption, row, col):
@@ -1038,6 +1038,10 @@ def test_corrupted_csv_exit_0_2_or_3(small_panel, tmp_path_factory, data):
         # mcc reads the header row only
         assert rcs[:4] == [2, 2, 2, 2] and (rcs[4] == 2) == (corruption in (
             "empty_name", "empty")), rcs
+    elif corruption == "1e200":
+        # finite, but its square overflows the variance of its column, a
+        # treatment's or the outcome's: the fits refuse it
+        assert rcs[:2] == [2, 2] and rcs[3] == 2 and rcs[4] == 0, rcs
     elif corruption in ("bom", "quoted"):
         assert rcs == [0] * 5, rcs
 

@@ -25,19 +25,24 @@ from mtsens import (
     InvalidCopulaError,
     SensitivitySpec,
     TreatmentMatrix,
+    bias_closed_form,
     conditional_cdf_quantile,
     conditional_confounder,
     degaussianize,
     gaussian_copula_density,
     gaussianize,
     gen_linear_gaussian,
+    ignorance_region,
     intervention_mean_gaussian,
     intervention_mean_general,
     marginal_contrast,
     mcc_minimize,
     naive_closed_form,
+    robustness_value,
+    rr_contrast,
     rr_curve,
     SimTruth,
+    worst_case_bias,
 )
 from mtsens import copula as copula_module
 from mtsens.copula import CDF_CLAMP
@@ -230,9 +235,89 @@ def test_intervention_mean_equivalence_class_invariance():
     base = intervention_mean_gaussian(t, spec, cc, outcome, data.treatments, seed=17)
     a = np.array([[rng.uniform(0.5, 2.0)]])
     cc2 = cc.reparameterized(a)
-    spec2 = spec.transformed(a)
+    spec2 = spec.transformed(a, cc.sigma_u_given_t)
     moved = intervention_mean_gaussian(t, spec2, cc2, outcome, data.treatments, seed=17)
     assert moved == pytest.approx(base, rel=1e-9)
+
+
+@st.composite
+def _invertible_maps(draw):
+    """An m x m map, m in {2, 3}, drawn as a rotation (the Q of a Gaussian
+    matrix, signed to det 1) times a positive diagonal times a unit
+    upper-triangular shear: every invertible map has this form up to signs."""
+    m = draw(st.integers(min_value=2, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(m, m)))
+    rotation = q * np.sign(np.diag(r))
+    rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+    scales = draw(st.lists(st.floats(min_value=0.2, max_value=5.0), min_size=m, max_size=m))
+    shear = np.eye(m)
+    shear[np.triu_indices(m, 1)] = draw(st.lists(
+        st.floats(min_value=-3.0, max_value=3.0), min_size=m * (m - 1) // 2,
+        max_size=m * (m - 1) // 2))
+    return rotation @ np.diag(scales) @ shear
+
+
+def _reparameterization_quantities(spec, cc, lin, probit, observed, c):
+    """Every quantity that the coordinates of the confounder must not move."""
+    naive = float(lin.mean(c.t1) - lin.mean(c.t2))
+    sigma = lin.sigma()
+    region = ignorance_region(naive, cc, sigma, 0.3, c)
+    return [bias_closed_form(spec, cc, sigma, c), worst_case_bias(cc, sigma, 0.3, c),
+            robustness_value(naive, cc, sigma, c).value, region.lower, region.upper,
+            intervention_mean_gaussian(c.t1, spec, cc, lin, observed, n_sim=20, seed=5),
+            rr_contrast(c, spec, cc, probit, observed)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invertible_maps())
+def test_every_quantity_is_invariant_under_an_invertible_map(a):
+    # (coef, Sigma) -> (A coef, A Sigma A') with gamma -> A^-T gamma keeps
+    # gamma' mu_u and gamma' Sigma gamma; a gamma mapped by A^-1 instead
+    # moves the bias and the Monte Carlo and risk-ratio means for any A
+    # that is not symmetric
+    m, k = a.shape[0], 6
+    rng = np.random.default_rng(m)
+    root = rng.normal(size=(m, m))
+    cc = ConditionalConfounder(coef=rng.normal(size=(m, k)),
+                               sigma_u_given_t=0.2 * root @ root.T + 0.3 * np.eye(m))
+    observed = TreatmentMatrix(rng.normal(size=(40, k)))
+    lin = GaussianOutcome(tau_naive=rng.normal(size=k), intercept=0.3, sigma2_y_given_t=1.5)
+    probit = BinaryOutcome(probit_coef=0.3 * rng.normal(size=k), probit_intercept=0.1,
+                           p_y1=0.5)
+    c = Contrast(rng.normal(size=k), rng.normal(size=k))
+    direction = rng.normal(size=m)
+    spec = SensitivitySpec.from_r2_direction(0.4, direction / np.linalg.norm(direction),
+                                             cc.sigma_u_given_t)
+    before = _reparameterization_quantities(spec, cc, lin, probit, observed, c)
+    cc2 = cc.reparameterized(a)
+    spec2 = spec.transformed(a, cc.sigma_u_given_t)
+    after = _reparameterization_quantities(spec2, cc2, lin, probit, observed, c)
+    assert after == pytest.approx(before, rel=1e-8, abs=1e-12)
+    assert spec2.r2 == spec.r2
+    # the direction is that of the new coordinates: from_gamma on A Sigma A'
+    fresh = SensitivitySpec.from_gamma(spec2.gamma, cc2.sigma_u_given_t)
+    assert spec2.direction == pytest.approx(fresh.direction, abs=1e-8)
+    assert np.linalg.norm(spec2.direction) == pytest.approx(1.0, rel=1e-10)
+    # a singular map is no change of coordinates, in either method
+    singular = a.copy()
+    singular[:, -1] = 0.0
+    for bad in (singular, np.zeros((m, m))):
+        with pytest.raises(DegenerateModelError, match="singular"):
+            cc.reparameterized(bad)
+        with pytest.raises(DegenerateModelError, match="singular"):
+            spec.transformed(bad, cc.sigma_u_given_t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_map_is_refused_in_both_methods(bad):
+    _, _, cc, _ = _linear_setup(seed=4)
+    spec = SensitivitySpec.from_r2_direction(0.4, np.array([1.0]), cc.sigma_u_given_t)
+    a = np.array([[bad]])
+    with pytest.raises(InputFormatError, match="a contains non-finite entries"):
+        cc.reparameterized(a)
+    with pytest.raises(InputFormatError, match="a contains non-finite entries"):
+        spec.transformed(a, cc.sigma_u_given_t)
 
 
 def test_mc_se_scales_with_sqrt_draws():

@@ -144,7 +144,7 @@ CASES = {
     "pate_vector/gamma": lambda: mtsens.pate_vector(BANK, SPEC3),
     "mcc_report/gamma": lambda: mtsens.mcc_report(BANK, GAMMA3),
     # a map of the wrong shape
-    "SensitivitySpec.transformed/map": lambda: SPEC.transformed(np.eye(3)),
+    "SensitivitySpec.transformed/map": lambda: SPEC.transformed(np.eye(3), SIGMA),
     "reparameterized/map": lambda: CC.reparameterized(np.eye(3)),
     # a response of the wrong n
     "fit_linear/response": lambda: mtsens.fit_linear(OBSERVED, SHORT_Y),
@@ -172,7 +172,7 @@ def test_matching_pieces_pass_the_rule():
     assert np.isfinite(mtsens.marginal_contrast(C, SPEC, CC, EMP, OBSERVED, **_MC))
     assert np.isfinite(mtsens.intervention_mean_general(
         np.zeros(K), GAUSSIAN, CC, LIN, OBSERVED, **_IS))
-    assert SPEC.transformed(2.0 * np.eye(M)).gamma == pytest.approx(SPEC.gamma / 2.0)
+    assert SPEC.transformed(2.0 * np.eye(M), SIGMA).gamma == pytest.approx(SPEC.gamma / 2.0)
     assert mtsens.pate_vector(BANK, SPEC).shape == (K,)
 
 

@@ -143,16 +143,10 @@ def _completely_separable(t, y):
     return res.status == 0
 
 
-@st.composite
-def _separation_designs(draw):
-    """Small designs, separated or not: n rows of k columns, each N(0, 1) or
-    Bernoulli(q), y from a probit of coefficients from weak to strong, and a
-    common column scale from 1e-5 to 1e3."""
-    n = draw(st.integers(min_value=6, max_value=120))
-    kinds = draw(st.lists(st.sampled_from(["normal", "binary"]), min_size=1, max_size=5))
-    strength = draw(st.sampled_from([0.5, 2.0, 10.0, 100.0]))
-    scale = 10.0 ** draw(st.floats(min_value=-5.0, max_value=3.0))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+def _separation_design(n, kinds, strength, scale, seed):
+    """n rows of columns of the given kinds, each N(0, 1) or Bernoulli(q),
+    y from a probit of coefficients N(0, strength^2), and the column scale."""
+    rng = np.random.default_rng(seed)
     cols = [rng.normal(size=n) if kind == "normal"
             else (rng.uniform(size=n) < rng.uniform(0.2, 0.8)).astype(float)
             for kind in kinds]
@@ -162,8 +156,26 @@ def _separation_designs(draw):
     return t, y, scale
 
 
+@st.composite
+def _separation_designs(draw):
+    """Small designs, separated or not: n rows of k columns, each N(0, 1) or
+    Bernoulli(q), y from a probit of coefficients from weak to strong, and a
+    common column scale from 1e-5 to 1e3."""
+    n = draw(st.integers(min_value=6, max_value=120))
+    kinds = draw(st.lists(st.sampled_from(["normal", "binary"]), min_size=1, max_size=5))
+    strength = draw(st.sampled_from([0.5, 2.0, 10.0, 100.0]))
+    scale = 10.0 ** draw(st.floats(min_value=-5.0, max_value=3.0))
+    return _separation_design(n, kinds, strength, scale,
+                              draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_separation_designs())
+# the design that --hypothesis-seed=58 draws: completely separated, at a
+# column scale of 1e-4 where a certificate on the raw Hessian refuses 12 of
+# 21 Newton systems and the fit stops at max|coef| = 3.3e6 with no error
+@example(_separation_design(113, ["binary", "normal", "binary", "normal", "normal"],
+                            10.0, 1e-4, 1258018))
 def test_fit_probit_separation_matches_lp_verdict(design):
     t, y, scale = design
     assume(0.0 < y.mean() < 1.0)
@@ -193,6 +205,31 @@ def test_fit_probit_is_equivariant_under_column_scaling():
     assert np.linalg.norm(small.probit_coef * 1e-4 - unit.probit_coef) <= (
         1e-8 * np.linalg.norm(unit.probit_coef))
     assert small.probit_intercept == pytest.approx(unit.probit_intercept, rel=1e-8)
+
+
+def test_fit_probit_certifies_every_step_at_small_column_scale(monkeypatch):
+    # two columns with correlation 0.9998 and an MLE: the equilibrated
+    # Hessian's rcond is near 8e-5 at every scale, while the raw Hessian's
+    # falls with the square of the column scale, to about 2e-12 at 1e-4,
+    # below the rule's 9e-12 for 4 columns of 500 rows
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=500)
+    t = np.column_stack([z, z + 0.02 * rng.normal(size=500), rng.normal(size=500)])
+    y = (rng.uniform(size=500) < ndtr(0.3 + t @ np.array([0.8, -0.5, 0.4]))).astype(float)
+    unit = fit_probit(TreatmentMatrix(t), y)
+    refused = []
+    solve = mtsens.outcome.certified_cholesky_solve
+
+    def counted(*args):
+        step = solve(*args)
+        refused.append(step is None)
+        return step
+
+    monkeypatch.setattr(mtsens.outcome, "certified_cholesky_solve", counted)
+    small = fit_probit(TreatmentMatrix(t * 1e-4), y)
+    assert refused and not any(refused)
+    assert np.linalg.norm(small.probit_coef * 1e-4 - unit.probit_coef) <= (
+        1e-8 * np.linalg.norm(unit.probit_coef))
 
 
 def test_fit_probit_separated_panel_raises_within_a_few_steps(monkeypatch):
